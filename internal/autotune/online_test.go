@@ -8,8 +8,9 @@ import (
 	"tessellate/internal/telemetry"
 )
 
-// spinSink defeats dead-code elimination of the busy-loop below.
-var spinSink float64
+// spinSink defeats dead-code elimination of the busy-loop below. It is
+// atomic because spin runs on several pool workers at once.
+var spinSink atomic.Uint64
 
 // spin burns a deterministic amount of CPU; unlike time.Sleep it is
 // immune to timer-resolution rounding, so the injected slowdown is
@@ -19,7 +20,7 @@ func spin(n int) {
 	for i := 0; i < n; i++ {
 		x += float64(i & 7)
 	}
-	spinSink += x
+	spinSink.Add(uint64(x))
 }
 
 // flipAfter wraps a Retuner and flips the slow flag once the given

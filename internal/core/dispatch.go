@@ -48,11 +48,11 @@ func KernelPath() string { return ActivePath().String() }
 // compare like with like.
 func ActivePath() stencil.Path { return stencil.ActivePath() }
 
-// runPath samples the dispatch path for one run, degrading a simd
+// RunPath samples the dispatch path for one run, degrading a simd
 // request to block when the platform has no vector kernels (counted in
-// tess_kernel_simd_fallbacks_total). Executors call it exactly once
-// per run, at entry.
-func runPath() stencil.Path {
+// tess_kernel_simd_fallbacks_total). Executors — core's and the
+// distributed ranks' — call it exactly once per run, at entry.
+func RunPath() stencil.Path {
 	p := stencil.ActivePath()
 	if p == stencil.PathSIMD && !stencil.SIMDAvailable() {
 		telemetry.KernelSIMDFallbacks.Add(1)

@@ -78,7 +78,7 @@ func run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, regions []Re
 	h := g.H
 	// One path per run: sampled here, never re-read, so a concurrent
 	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S1 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B1 != nil
 	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
@@ -190,7 +190,7 @@ func RunScheduled2DStop(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *
 func run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
 	// One path per run: sampled here, never re-read, so a concurrent
 	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S2 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B2 != nil
 	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
@@ -310,7 +310,7 @@ func RunScheduled3DStop(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, pool *
 func run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
 	// One path per run: sampled here, never re-read, so a concurrent
 	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S3 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B3 != nil
 	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]

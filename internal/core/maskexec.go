@@ -82,7 +82,7 @@ func RunScheduledMasked1DStop(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, 
 
 func runMasked1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
 	h := g.H
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S1 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B1 != nil
 	pb := g.Step & 1
@@ -181,7 +181,7 @@ func RunScheduledMasked2DStop(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, 
 }
 
 func runMasked2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S2 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B2 != nil
 	pb := g.Step & 1
@@ -292,7 +292,7 @@ func RunScheduledMasked3DStop(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, 
 }
 
 func runMasked3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	p := runPath()
+	p := RunPath()
 	useSIMD := p == stencil.PathSIMD && s.S3 != nil
 	useBlock := !useSIMD && p >= stencil.PathBlock && s.B3 != nil
 	pb := g.Step & 1

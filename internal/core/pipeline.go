@@ -107,7 +107,7 @@ func RunPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, 
 
 func runPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
 	h := g.H
-	pth := runPath()
+	pth := RunPath()
 	nst := len(p.Stages)
 	kern := make([]stencil.Kernel1DBlock, nst)
 	kpath := make([]stencil.Path, nst)
@@ -231,7 +231,7 @@ func RunPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, 
 }
 
 func runPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := runPath()
+	pth := RunPath()
 	nst := len(p.Stages)
 	kern := make([]stencil.Kernel2DBlock, nst)
 	kpath := make([]stencil.Path, nst)
@@ -364,7 +364,7 @@ func RunPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, 
 }
 
 func runPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := runPath()
+	pth := RunPath()
 	nst := len(p.Stages)
 	kern := make([]stencil.Kernel3DBlock, nst)
 	kpath := make([]stencil.Path, nst)

@@ -20,16 +20,17 @@ import (
 //     collects errors and unpacks the received strips before the
 //     halo-dependent blocks run.
 //
-// Grid access is delegated to pack/unpack closures so the engine is
+// Grid access is delegated to the rank's copyStrip so the engine is
 // dimension-agnostic: gx0 names the strip's first global x column, and
-// the closure moves both parity buffers between grid and buffer.
+// copyStrip moves both parity buffers from grid to buffer (pack) or
+// back.
 type exchanger struct {
 	tr         Transport
 	id, nranks int
 	part       Partition
 	h          int
-	pack       func(gx0 int, buf []float64)
-	unpack     func(gx0 int, buf []float64)
+	nbrs       []neighbour
+	copyStrip  func(gx0 int, buf []float64, pack bool)
 
 	// One staging buffer per direction and side, so both neighbour
 	// swaps and both directions can be in flight at once.
@@ -55,38 +56,36 @@ type swapResult struct {
 }
 
 func newExchanger(tr Transport, id, nranks int, part Partition, h, stripLen int,
-	pack, unpack func(gx0 int, buf []float64)) *exchanger {
+	copyStrip func(gx0 int, buf []float64, pack bool)) *exchanger {
 	return &exchanger{
 		tr: tr, id: id, nranks: nranks, part: part, h: h,
-		pack: pack, unpack: unpack,
-		sendLo: make([]float64, stripLen),
-		sendHi: make([]float64, stripLen),
-		recvLo: make([]float64, stripLen),
-		recvHi: make([]float64, stripLen),
-		done:   make(chan swapResult, 2),
+		nbrs:      neighbours(id, nranks),
+		copyStrip: copyStrip,
+		sendLo:    make([]float64, stripLen),
+		sendHi:    make([]float64, stripLen),
+		recvLo:    make([]float64, stripLen),
+		recvHi:    make([]float64, stripLen),
+		done:      make(chan swapResult, 2),
 	}
 }
 
-// neighbours yields the rank's neighbour list in deadlock-free parity
-// order: even ranks handle the right side first, odd ranks the left,
-// so every rendezvous pair agrees on who goes first.
-func (e *exchanger) neighbours() []struct {
+// neighbour is one side of a rank's exchange.
+type neighbour struct {
 	peer  int
 	right bool
-} {
-	order := []struct {
-		peer  int
-		right bool
-	}{{e.id + 1, true}, {e.id - 1, false}}
-	if e.id%2 == 1 {
+}
+
+// neighbours lists the rank's neighbours in deadlock-free parity
+// order: even ranks handle the right side first, odd ranks the left,
+// so every rendezvous pair agrees on who goes first.
+func neighbours(id, nranks int) []neighbour {
+	order := []neighbour{{id + 1, true}, {id - 1, false}}
+	if id%2 == 1 {
 		order[0], order[1] = order[1], order[0]
 	}
-	var out []struct {
-		peer  int
-		right bool
-	}
+	var out []neighbour
 	for _, o := range order {
-		if o.peer >= 0 && o.peer < e.nranks {
+		if o.peer >= 0 && o.peer < nranks {
 			out = append(out, o)
 		}
 	}
@@ -110,11 +109,11 @@ func (e *exchanger) exchangeSync() error {
 	if e.nranks == 1 {
 		return nil
 	}
-	for _, o := range e.neighbours() {
+	for _, o := range e.nbrs {
 		start := time.Now()
 		sbuf, rbuf, sgx, rgx := e.bufs(o.right)
 		send := func() error {
-			e.pack(sgx, sbuf)
+			e.copyStrip(sgx, sbuf, true)
 			e.messages++
 			e.floats += int64(len(sbuf))
 			countTransfer("send", o.peer, len(sbuf))
@@ -125,7 +124,7 @@ func (e *exchanger) exchangeSync() error {
 				return err
 			}
 			countTransfer("recv", o.peer, len(rbuf))
-			e.unpack(rgx, rbuf)
+			e.copyStrip(rgx, rbuf, false)
 			return nil
 		}
 		first, second := send, recv
@@ -153,9 +152,9 @@ func (e *exchanger) start() {
 		return
 	}
 	e.loLive, e.hiLive = false, false
-	for _, o := range e.neighbours() {
+	for _, o := range e.nbrs {
 		sbuf, rbuf, sgx, _ := e.bufs(o.right)
-		e.pack(sgx, sbuf)
+		e.copyStrip(sgx, sbuf, true)
 		if o.right {
 			e.hiLive = true
 		} else {
@@ -211,11 +210,11 @@ func (e *exchanger) wait() error {
 	}
 	if e.loLive {
 		_, rbuf, _, rgx := e.bufs(false)
-		e.unpack(rgx, rbuf)
+		e.copyStrip(rgx, rbuf, false)
 	}
 	if e.hiLive {
 		_, rbuf, _, rgx := e.bufs(true)
-		e.unpack(rgx, rbuf)
+		e.copyStrip(rgx, rbuf, false)
 	}
 	return nil
 }

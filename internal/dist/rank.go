@@ -46,22 +46,76 @@ func Slabs(nx, nranks, h int) ([]Partition, error) {
 	return parts, nil
 }
 
-// Rank executes one share of a distributed 2D tessellation run.
-type Rank struct {
+// slab is the dimension-agnostic half of a rank, shared by Rank and
+// Rank3D: the territory, the worker pool, the exchanger, the cached
+// plan and the region loop. The embedding rank supplies box, which runs
+// one clipped block box on its local grid with the kernel it resolved
+// for the run.
+type slab struct {
 	ID, NRanks int
 	tr         Transport
 	part       Partition
 	cfg        *core.Config // global configuration
-	spec       *stencil.Spec
 	pool       *par.Pool
-	local      *grid.Grid2D // interior = [X0-ExtLo, X1+ExtHi) x NY
-	h          int          // exchange-halo width
-	xbase      int          // global x of local interior column 0
+	h          int // exchange-halo width
+	xbase      int // global x of local interior column 0
 	ex         *exchanger
 	overlap    bool
+	plan       plan
+	box        func(t int, lo, hi [3]int) // t is parity-adjusted
+	body       func(i, worker int)        // runBlock, bound once
+
+	// Dispatch state of the running region, written before each pool
+	// dispatch and read by body.
+	reg   *core.Region
+	idxs  []int
+	pb    int                       // parity of the local grid's Step at run start
+	rows  bool                      // row tier: one kernel call per row or pencil
+	calls *telemetry.ShardedCounter // tess_kernel_calls_total child of the tier
+
 	// Stats, mirrored from the exchanger after each Run.
 	MessagesSent int
 	FloatsSent   int64
+}
+
+// plan is a rank's schedule for one step count: the region list and,
+// per region, the rank's block indices with the interior blocks first.
+// A rank keeps only the plan of its last Run, so the cache costs one
+// schedule plus one int per selected block, and a repeated Run(steps)
+// rebuilds nothing.
+type plan struct {
+	sched *core.Schedule
+	regs  []regionPlan
+}
+
+type regionPlan struct {
+	blocks []int // blocks[:split] are interior, the rest halo-dependent
+	split  int
+}
+
+// init validates cfg, places the rank's partition and starts its pool.
+func (s *slab) init(id, nranks int, tr Transport, cfg *core.Config, workers int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	h := ExchangeHalo(cfg)
+	parts, err := Slabs(cfg.N[0], nranks, h)
+	if err != nil {
+		return err
+	}
+	p := parts[id]
+	*s = slab{ID: id, NRanks: nranks, tr: tr, part: p, cfg: cfg, h: h, xbase: p.X0 - p.ExtLo}
+	s.pool = par.NewPool(workers)
+	s.body = s.runBlock
+	return nil
+}
+
+// Rank executes one share of a distributed 2D tessellation run.
+type Rank struct {
+	slab
+	spec  *stencil.Spec
+	local *grid.Grid2D          // interior = [X0-ExtLo, X1+ExtHi) x NY
+	kern  stencil.Kernel2DBlock // the running tier, resolved per Run
 }
 
 // ExchangeHalo returns the strip width the scheme needs: a block
@@ -75,28 +129,14 @@ func NewRank(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spec,
 	if spec.Dims != 2 || spec.K2 == nil {
 		return nil, fmt.Errorf("dist: %s is not a 2D kernel (distributed execution is implemented for 2D)", spec.Name)
 	}
-	if err := cfg.Validate(); err != nil {
+	r := &Rank{spec: spec}
+	if err := r.slab.init(id, nranks, tr, cfg, workers); err != nil {
 		return nil, err
 	}
-	h := ExchangeHalo(cfg)
-	parts, err := Slabs(cfg.N[0], nranks, h)
-	if err != nil {
-		return nil, err
-	}
-	p := parts[id]
-	r := &Rank{
-		ID: id, NRanks: nranks,
-		tr:    tr,
-		part:  p,
-		cfg:   cfg,
-		spec:  spec,
-		pool:  par.NewPool(workers),
-		h:     h,
-		xbase: p.X0 - p.ExtLo,
-	}
-	ny := cfg.N[1]
+	p, ny := r.part, cfg.N[1]
 	r.local = grid.NewGrid2D(p.ExtLo+p.Width()+p.ExtHi, ny, spec.Slopes[0], spec.Slopes[1])
-	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*ny, r.packStrip, r.unpackStrip)
+	r.ex = newExchanger(tr, id, nranks, p, r.h, 2*r.h*ny, r.copyStrip)
+	r.box = r.runBox
 	return r, nil
 }
 
@@ -105,13 +145,13 @@ func NewRank(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spec,
 // halo-dependent blocks wait for them. Output is bitwise identical to
 // the synchronous default. Requires a full-duplex Transport (both
 // built-in transports are).
-func (r *Rank) SetOverlap(on bool) { r.overlap = on }
+func (s *slab) SetOverlap(on bool) { s.overlap = on }
 
 // Close releases the rank's worker pool.
-func (r *Rank) Close() { r.pool.Close() }
+func (s *slab) Close() { s.pool.Close() }
 
 // Partition returns the rank's share.
-func (r *Rank) Partition() Partition { return r.part }
+func (s *slab) Partition() Partition { return s.part }
 
 // Scatter loads this rank's slab (territory + exchange halos + the
 // global constant boundary) from a full copy of the initial grid. In a
@@ -156,27 +196,70 @@ func (r *Rank) Territory(dst *grid.Grid2D) {
 // Run advances the rank's slab by steps time steps. All ranks must call
 // Run with the same arguments; the call blocks on neighbour exchanges.
 func (r *Rank) Run(steps int) error {
-	for _, reg := range r.cfg.Regions(steps) {
-		reg := reg
-		mine := selectBlocks(r.cfg, &reg, r.part)
-		if !r.overlap || r.NRanks == 1 {
-			if err := r.exchange(); err != nil {
+	var path stencil.Path
+	r.kern, path = r.spec.Resolve2D(core.RunPath())
+	return r.run(steps, path, &r.local.Step)
+}
+
+// runBox executes one clipped block box at parity-adjusted step t.
+func (r *Rank) runBox(t int, lo, hi [3]int) {
+	lg := r.local
+	r.kern(lg.Buf[(t+1)&1], lg.Buf[t&1], lg.Idx(lo[0]-r.xbase, lo[1]), hi[0]-lo[0], hi[1]-lo[1], lg.SY)
+}
+
+// run is the region loop of both rank kinds: per region, exchange (or
+// start the overlapped exchange and run the interior blocks), then run
+// the rank's blocks. path is the kernel tier the caller resolved for
+// this run — sampled once, so a concurrent core.SetKernelPath never
+// mixes tiers within a run — and step is the local grid's step count.
+func (s *slab) run(steps int, path stencil.Path, step *int) error {
+	p, err := s.planFor(steps)
+	if err != nil {
+		return err
+	}
+	s.pb, s.rows = *step&1, path == stencil.PathRow
+	s.calls = [...]*telemetry.ShardedCounter{telemetry.KernelCallsRow, telemetry.KernelCallsBlock, telemetry.KernelCallsSIMD}[path]
+	regs := p.sched.Regions()
+	for i, rp := range p.regs {
+		s.reg = &regs[i]
+		if !s.overlap || s.NRanks == 1 {
+			if err := s.exchange(); err != nil {
 				return err
 			}
-			r.runBlocks(&reg, mine, "")
+			s.runBlocks(rp.blocks, "")
 			continue
 		}
-		halo, interior := splitByHalo(r.cfg, &reg, mine, r.part, r.ID, r.NRanks)
-		r.ex.start()
-		r.runBlocks(&reg, interior, "interior")
-		if err := r.waitExchange(); err != nil {
+		s.ex.start()
+		s.runBlocks(rp.blocks[:rp.split], "interior")
+		if err := s.waitExchange(); err != nil {
 			return err
 		}
-		r.runBlocks(&reg, halo, "halo")
+		s.runBlocks(rp.blocks[rp.split:], "halo")
 	}
-	r.local.Step += steps
-	r.MessagesSent, r.FloatsSent = r.ex.messages, r.ex.floats
+	*step += steps
+	s.MessagesSent, s.FloatsSent = s.ex.messages, s.ex.floats
 	return nil
+}
+
+// planFor returns the plan for steps, rebuilding it only when steps
+// differs from the previous Run's.
+func (s *slab) planFor(steps int) (*plan, error) {
+	if s.plan.sched != nil && s.plan.sched.Steps() == steps {
+		return &s.plan, nil
+	}
+	sched, err := core.NewSchedule(s.cfg, steps)
+	if err != nil {
+		return nil, err
+	}
+	regs := sched.Regions()
+	rps := make([]regionPlan, len(regs))
+	for i := range regs {
+		reg := &regs[i]
+		halo, interior := splitByHalo(s.cfg, reg, selectBlocks(s.cfg, reg, s.part), s.part, s.ID, s.NRanks)
+		rps[i] = regionPlan{blocks: append(interior, halo...), split: len(interior)}
+	}
+	s.plan = plan{sched: sched, regs: rps}
+	return &s.plan, nil
 }
 
 // selectBlocks returns the indices of the region's blocks whose
@@ -231,71 +314,75 @@ func splitByHalo(c *core.Config, reg *core.Region, mine []int, part Partition, i
 	return halo, interior
 }
 
-// runBlocks executes the listed blocks of the region on the pool. A
-// non-empty span name records the batch on the rank's compute lane, so
-// traces of overlapped runs show "interior" under the in-flight
-// exchange and "halo" after it.
-func (r *Rank) runBlocks(reg *core.Region, idxs []int, span string) {
+// runBlocks executes the listed blocks of the running region on the
+// pool. A non-empty span name records the batch on the rank's compute
+// lane, so traces of overlapped runs show "interior" under the
+// in-flight exchange and "halo" after it.
+func (s *slab) runBlocks(idxs []int, span string) {
 	if len(idxs) == 0 {
 		return
 	}
 	start := time.Now()
-	r.pool.For(len(idxs), func(i int) {
-		b := &reg.Blocks[idxs[i]]
-		for t := reg.T0; t < reg.T1; t++ {
-			r.runBox(b, reg, t)
-		}
-	})
+	s.idxs = idxs
+	s.pool.ForSticky(len(idxs), s.body)
 	if span != "" && telemetry.Enabled() {
 		telemetry.DefaultTracer.RecordSpan(telemetry.Event{
-			Name: span, Cat: "dist", TID: r.ID, Phase: -1, Stage: -1,
+			Name: span, Cat: "dist", TID: s.ID, Phase: -1, Stage: -1,
 			Blocks: int64(len(idxs)),
 		}, start)
 	}
 }
 
-// runBox executes one block time slice on the local slab.
-func (r *Rank) runBox(b *core.Block, reg *core.Region, t int) {
-	var lo, hi [2]int
-	if !r.cfg.ClippedBounds(reg, b, t, lo[:], hi[:]) {
-		return
+// runBlock executes all time slices of one block with one box-kernel
+// call per clipped box, counting the calls on the run's tier (per row
+// or pencil on the row tier, as core does).
+func (s *slab) runBlock(i, worker int) {
+	reg, d := s.reg, len(s.cfg.N)
+	b := &reg.Blocks[s.idxs[i]]
+	var lo, hi [3]int
+	var calls uint64
+	for t := reg.T0; t < reg.T1; t++ {
+		if !s.cfg.ClippedBounds(reg, b, t, lo[:d], hi[:d]) {
+			continue
+		}
+		s.box(t+s.pb, lo, hi)
+		n := uint64(1)
+		for k := 0; s.rows && k < d-1; k++ {
+			n *= uint64(hi[k] - lo[k])
+		}
+		calls += n
 	}
-	lg := r.local
-	dst, src := lg.Buf[(t+1)&1], lg.Buf[t&1]
-	n := hi[1] - lo[1]
-	for x := lo[0]; x < hi[0]; x++ {
-		r.spec.K2(dst, src, lg.Idx(x-r.xbase, lo[1]), n, lg.SY)
-	}
+	s.calls.Add(worker, calls)
 }
 
 // exchange runs the synchronous strip swap with both neighbours,
 // recording the blocked time.
-func (r *Rank) exchange() error {
-	if r.NRanks == 1 {
+func (s *slab) exchange() error {
+	if s.NRanks == 1 {
 		return nil
 	}
 	if telemetry.Enabled() {
 		start := time.Now()
-		err := r.ex.exchangeSync()
+		err := s.ex.exchangeSync()
 		telemetry.DistExchangeSeconds.Observe(time.Since(start).Seconds())
 		telemetry.DefaultTracer.RecordSpan(telemetry.Event{
-			Name: "exchange", Cat: "dist", TID: r.ID, Phase: -1, Stage: -1,
+			Name: "exchange", Cat: "dist", TID: s.ID, Phase: -1, Stage: -1,
 		}, start)
 		return err
 	}
-	return r.ex.exchangeSync()
+	return s.ex.exchangeSync()
 }
 
 // waitExchange blocks on the overlapped exchange; only the un-hidden
 // remainder counts as exchange time.
-func (r *Rank) waitExchange() error {
+func (s *slab) waitExchange() error {
 	if telemetry.Enabled() {
 		start := time.Now()
-		err := r.ex.wait()
+		err := s.ex.wait()
 		telemetry.DistExchangeSeconds.Observe(time.Since(start).Seconds())
 		return err
 	}
-	return r.ex.wait()
+	return s.ex.wait()
 }
 
 // countTransfer records one strip transfer (floats floats of payload)
@@ -310,29 +397,20 @@ func countTransfer(dir string, peer, floats int) {
 	telemetry.DistMessages.Counter(dir, p).Inc()
 }
 
-// packStrip copies the h-wide strip starting at global column gx0
-// (both parity buffers) into buf; unpackStrip is the inverse.
-func (r *Rank) packStrip(gx0 int, buf []float64) {
+// copyStrip copies the h-wide strip starting at global column gx0
+// (both parity buffers) into buf when pack is set, else back out of it.
+func (r *Rank) copyStrip(gx0 int, buf []float64, pack bool) {
 	lg := r.local
 	ny := lg.NY
 	k := 0
 	for p := 0; p < 2; p++ {
 		for x := gx0; x < gx0+r.h; x++ {
-			row := lg.Idx(x-r.xbase, 0)
-			copy(buf[k:k+ny], lg.Buf[p][row:row+ny])
-			k += ny
-		}
-	}
-}
-
-func (r *Rank) unpackStrip(gx0 int, buf []float64) {
-	lg := r.local
-	ny := lg.NY
-	k := 0
-	for p := 0; p < 2; p++ {
-		for x := gx0; x < gx0+r.h; x++ {
-			row := lg.Idx(x-r.xbase, 0)
-			copy(lg.Buf[p][row:row+ny], buf[k:k+ny])
+			row := lg.Buf[p][lg.Idx(x-r.xbase, 0):]
+			if pack {
+				copy(buf[k:k+ny], row[:ny])
+			} else {
+				copy(row[:ny], buf[k:k+ny])
+			}
 			k += ny
 		}
 	}

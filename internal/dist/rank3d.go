@@ -2,32 +2,19 @@ package dist
 
 import (
 	"fmt"
-	"time"
 
 	"tessellate/internal/core"
 	"tessellate/internal/grid"
-	"tessellate/internal/par"
 	"tessellate/internal/stencil"
-	"tessellate/internal/telemetry"
 )
 
 // Rank3D executes one share of a distributed 3D tessellation run,
 // slab-decomposed along x exactly like Rank; strips are y-z planes.
 type Rank3D struct {
-	ID, NRanks int
-	tr         Transport
-	part       Partition
-	cfg        *core.Config
-	spec       *stencil.Spec
-	pool       *par.Pool
-	local      *grid.Grid3D
-	h          int
-	xbase      int
-	ex         *exchanger
-	overlap    bool
-
-	MessagesSent int
-	FloatsSent   int64
+	slab
+	spec  *stencil.Spec
+	local *grid.Grid3D
+	kern  stencil.Kernel3DBlock // the running tier, resolved per Run
 }
 
 // NewRank3D prepares rank id of nranks for the global 3D configuration.
@@ -35,38 +22,18 @@ func NewRank3D(id, nranks int, tr Transport, cfg *core.Config, spec *stencil.Spe
 	if spec.Dims != 3 || spec.K3 == nil {
 		return nil, fmt.Errorf("dist: %s is not a 3D kernel", spec.Name)
 	}
-	if err := cfg.Validate(); err != nil {
+	r := &Rank3D{spec: spec}
+	if err := r.slab.init(id, nranks, tr, cfg, workers); err != nil {
 		return nil, err
 	}
-	h := ExchangeHalo(cfg)
-	parts, err := Slabs(cfg.N[0], nranks, h)
-	if err != nil {
-		return nil, err
-	}
-	p := parts[id]
-	r := &Rank3D{
-		ID: id, NRanks: nranks,
-		tr: tr, part: p, cfg: cfg, spec: spec,
-		pool:  par.NewPool(workers),
-		h:     h,
-		xbase: p.X0 - p.ExtLo,
-	}
-	ny, nz := cfg.N[1], cfg.N[2]
-	r.local = grid.NewGrid3D(p.ExtLo+p.Width()+p.ExtHi, ny, nz, spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
-	// One plane = the full padded y-z slab footprint, so pack/unpack
-	// can copy whole plane rows including stencil halos.
-	r.ex = newExchanger(tr, id, nranks, p, h, 2*h*r.local.SX, r.packStrip, r.unpackStrip)
+	p := r.part
+	r.local = grid.NewGrid3D(p.ExtLo+p.Width()+p.ExtHi, cfg.N[1], cfg.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
+	// One plane = the full padded y-z slab footprint, so copyStrip can
+	// copy whole plane rows including stencil halos.
+	r.ex = newExchanger(tr, id, nranks, p, r.h, 2*r.h*r.local.SX, r.copyStrip)
+	r.box = r.runBox
 	return r, nil
 }
-
-// SetOverlap selects the overlapped exchange (see Rank.SetOverlap).
-func (r *Rank3D) SetOverlap(on bool) { r.overlap = on }
-
-// Close releases the rank's worker pool.
-func (r *Rank3D) Close() { r.pool.Close() }
-
-// Partition returns the rank's share.
-func (r *Rank3D) Partition() Partition { return r.part }
 
 // Scatter loads the rank's slab from a full copy of the initial grid.
 func (r *Rank3D) Scatter(global *grid.Grid3D) error {
@@ -106,100 +73,23 @@ func (r *Rank3D) Territory(dst *grid.Grid3D) {
 	}
 }
 
-// Run advances the rank's slab by steps time steps.
+// Run advances the rank's slab by steps time steps (see Rank.Run).
 func (r *Rank3D) Run(steps int) error {
-	for _, reg := range r.cfg.Regions(steps) {
-		reg := reg
-		mine := selectBlocks(r.cfg, &reg, r.part)
-		if !r.overlap || r.NRanks == 1 {
-			if err := r.exchange(); err != nil {
-				return err
-			}
-			r.runBlocks(&reg, mine, "")
-			continue
-		}
-		halo, interior := splitByHalo(r.cfg, &reg, mine, r.part, r.ID, r.NRanks)
-		r.ex.start()
-		r.runBlocks(&reg, interior, "interior")
-		if err := r.waitExchange(); err != nil {
-			return err
-		}
-		r.runBlocks(&reg, halo, "halo")
-	}
-	r.local.Step += steps
-	r.MessagesSent, r.FloatsSent = r.ex.messages, r.ex.floats
-	return nil
+	var path stencil.Path
+	r.kern, path = r.spec.Resolve3D(core.RunPath())
+	return r.run(steps, path, &r.local.Step)
 }
 
-// runBlocks executes the listed blocks of the region on the pool,
-// with the same span semantics as Rank.runBlocks.
-func (r *Rank3D) runBlocks(reg *core.Region, idxs []int, span string) {
-	if len(idxs) == 0 {
-		return
-	}
-	start := time.Now()
-	r.pool.For(len(idxs), func(i int) {
-		b := &reg.Blocks[idxs[i]]
-		var lo, hi [3]int
-		lg := r.local
-		for t := reg.T0; t < reg.T1; t++ {
-			if !r.cfg.ClippedBounds(reg, b, t, lo[:], hi[:]) {
-				continue
-			}
-			dst, src := lg.Buf[(t+1)&1], lg.Buf[t&1]
-			n := hi[2] - lo[2]
-			for x := lo[0]; x < hi[0]; x++ {
-				for y := lo[1]; y < hi[1]; y++ {
-					r.spec.K3(dst, src, lg.Idx(x-r.xbase, y, lo[2]), n, lg.SY, lg.SX)
-				}
-			}
-		}
-	})
-	if span != "" && telemetry.Enabled() {
-		telemetry.DefaultTracer.RecordSpan(telemetry.Event{
-			Name: span, Cat: "dist", TID: r.ID, Phase: -1, Stage: -1,
-			Blocks: int64(len(idxs)),
-		}, start)
-	}
+// runBox executes one clipped block box at parity-adjusted step t.
+func (r *Rank3D) runBox(t int, lo, hi [3]int) {
+	lg := r.local
+	r.kern(lg.Buf[(t+1)&1], lg.Buf[t&1], lg.Idx(lo[0]-r.xbase, lo[1], lo[2]),
+		hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2], lg.SY, lg.SX)
 }
 
-func (r *Rank3D) exchange() error {
-	if r.NRanks == 1 {
-		return nil
-	}
-	if telemetry.Enabled() {
-		start := time.Now()
-		err := r.ex.exchangeSync()
-		telemetry.DistExchangeSeconds.Observe(time.Since(start).Seconds())
-		telemetry.DefaultTracer.RecordSpan(telemetry.Event{
-			Name: "exchange", Cat: "dist", TID: r.ID, Phase: -1, Stage: -1,
-		}, start)
-		return err
-	}
-	return r.ex.exchangeSync()
-}
-
-func (r *Rank3D) waitExchange() error {
-	if telemetry.Enabled() {
-		start := time.Now()
-		err := r.ex.wait()
-		telemetry.DistExchangeSeconds.Observe(time.Since(start).Seconds())
-		return err
-	}
-	return r.ex.wait()
-}
-
-// packStrip copies h whole x-planes (both parity buffers) starting at
-// global column gx0 into buf; unpackStrip is the inverse.
-func (r *Rank3D) packStrip(gx0 int, buf []float64) {
-	r.copyStrip(gx0, buf, true)
-}
-
-func (r *Rank3D) unpackStrip(gx0 int, buf []float64) {
-	r.copyStrip(gx0, buf, false)
-}
-
-func (r *Rank3D) copyStrip(gx0 int, buf []float64, toStrip bool) {
+// copyStrip copies h whole x-planes (both parity buffers) starting at
+// global column gx0 into buf when pack is set, else back out of it.
+func (r *Rank3D) copyStrip(gx0 int, buf []float64, pack bool) {
 	lg := r.local
 	planeLen := lg.SX
 	k := 0
@@ -207,7 +97,7 @@ func (r *Rank3D) copyStrip(gx0 int, buf []float64, toStrip bool) {
 		for x := gx0; x < gx0+r.h; x++ {
 			// Plane base including y/z halos.
 			base := lg.Idx(x-r.xbase, -lg.HY, -lg.HZ)
-			if toStrip {
+			if pack {
 				copy(buf[k:k+planeLen], lg.Buf[p][base:base+planeLen])
 			} else {
 				copy(lg.Buf[p][base:base+planeLen], buf[k:k+planeLen])

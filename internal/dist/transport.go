@@ -11,7 +11,10 @@
 // strips of both time-parity buffers, then every rank executes all
 // blocks of the region that intersect its territory (boundary-
 // straddling blocks are computed redundantly on both sides, which the
-// region-independence property makes safe; see DESIGN.md). With
+// region-independence property makes safe; see DESIGN.md), one box-
+// kernel call per clipped block box on the tier core.RunPath samples
+// once per Run. The region and block lists come from a plan each rank
+// caches for its last step count. With
 // SetOverlap the exchange runs concurrently with the region's interior
 // blocks — those whose read footprint never touches the strips — and
 // only the halo-dependent blocks wait for it. Either way outputs are
@@ -186,11 +189,23 @@ type peerSlot struct {
 }
 
 // peerConn serializes frame writes and frame reads independently;
-// net.Conn allows one concurrent reader and writer.
+// net.Conn allows one concurrent reader and writer. Each direction owns
+// one frame buffer, reused under its lock and grown only to the largest
+// frame seen, so a steady exchange allocates nothing per message.
 type peerConn struct {
-	c   net.Conn
-	wmu sync.Mutex
-	rmu sync.Mutex
+	c          net.Conn
+	wmu, rmu   sync.Mutex
+	wbuf, rbuf []byte
+}
+
+// frameBuf returns *b resized to n bytes, reallocating only when its
+// capacity is short.
+func frameBuf(b *[]byte, n int) []byte {
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return *b
 }
 
 // NewTCPTransport creates the transport for rank id listening on
@@ -369,14 +384,14 @@ func (t *TCPTransport) Send(peer int, data []float64) error {
 	if uint64(len(data)) > math.MaxUint32 {
 		return fmt.Errorf("dist: rank %d send to %d: %d floats exceed the frame limit", t.id, peer, len(data))
 	}
-	buf := make([]byte, frameHeaderLen+8*len(data))
+	pc.wmu.Lock()
+	defer pc.wmu.Unlock()
+	buf := frameBuf(&pc.wbuf, frameHeaderLen+8*len(data))
 	binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(buf[frameHeaderLen+8*i:], math.Float64bits(v))
 	}
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
 	pc.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 	if _, err := pc.c.Write(buf); err != nil {
 		return fmt.Errorf("dist: rank %d send to %d: %w", t.id, peer, err)
@@ -385,7 +400,9 @@ func (t *TCPTransport) Send(peer int, data []float64) error {
 }
 
 // Recv implements Transport, under the per-peer read lock and the
-// configured read deadline.
+// configured read deadline. A frame whose count differs from len(out)
+// is rejected from its header alone, before the frame buffer grows to
+// the announced payload size.
 func (t *TCPTransport) Recv(peer int, out []float64) error {
 	pc, err := t.conn(peer)
 	if err != nil {
@@ -394,8 +411,8 @@ func (t *TCPTransport) Recv(peer int, out []float64) error {
 	pc.rmu.Lock()
 	defer pc.rmu.Unlock()
 	pc.c.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout))
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(pc.c, hdr[:]); err != nil {
+	hdr := frameBuf(&pc.rbuf, frameHeaderLen)
+	if _, err := io.ReadFull(pc.c, hdr); err != nil {
 		return fmt.Errorf("dist: rank %d recv from %d: %w", t.id, peer, err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != frameMagic {
@@ -405,7 +422,7 @@ func (t *TCPTransport) Recv(peer int, out []float64) error {
 	if n != len(out) {
 		return fmt.Errorf("dist: rank %d received %d floats from %d, want %d", t.id, n, peer, len(out))
 	}
-	buf := make([]byte, 8*n)
+	buf := frameBuf(&pc.rbuf, 8*n)
 	if _, err := io.ReadFull(pc.c, buf); err != nil {
 		return fmt.Errorf("dist: rank %d recv from %d: %w", t.id, peer, err)
 	}
