@@ -62,7 +62,9 @@
 // the barriered naive reference (rk2, split high-order and leapfrog
 // steppers; BENCH_PIPELINE.json schema, checksums enforced bitwise);
 // -mask does the same for the masked executors on L-shaped and
-// obstacle domains (BENCH_MASK.json schema).
+// obstacle domains (BENCH_MASK.json schema). Both report each scheme's
+// median of 5 warmed repeats, re-seeded outside the timer, with the
+// checksum checked on every repeat.
 // -compare-dist measures the synchronous vs overlapped distributed
 // halo exchange over loopback TCP at 2 and 4 ranks, bare and with
 // injected per-message latency (BENCH_DIST.json schema, every cell's

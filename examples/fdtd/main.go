@@ -26,8 +26,10 @@ func main() {
 	// subtracts u^{t-1}, completing the leapfrog step. With double
 	// buffering the previous level is exactly the destination buffer's
 	// pre-write contents, so the stepper needs no extra state grid.
+	// The kernel reads nothing but src, so it is relocatable: the
+	// fused executor may keep the intermediate in small block windows.
 	wave := &tessellate.Stencil{
-		Name: "wave-2d", Dims: 2, Slopes: []int{1, 1}, Points: 5, Flops: 7,
+		Name: "wave-2d", Dims: 2, Slopes: []int{1, 1}, Points: 5, Flops: 7, Relocatable: true,
 		K2: func(dst, src []float64, base, n, sy int) {
 			for i := base; i < base+n; i++ {
 				lap := src[i-1] + src[i+1] + src[i-sy] + src[i+sy] - 4*src[i]

@@ -176,21 +176,26 @@ func TestAdaptiveConvergesFromPessimalSeed(t *testing.T) {
 	}
 
 	// The adopted tiling must be competitive with the offline answer.
-	// Measure it the same way Search measured its winner; retry to
-	// ride out scheduler noise, keeping the best observation.
-	bestRate := 0.0
-	for try := 0; try < 3 && bestRate < 0.85*offline.BestRate; try++ {
-		tr, err := measure(eng, spec, dims, final, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.MUpdates > bestRate {
-			bestRate = tr.MUpdates
+	// Measure both tilings the way Search measured its trials, back to
+	// back on this engine and alternating, so a slow spell of the host
+	// lands on both rather than on one; retry to ride out scheduler
+	// noise, keeping each tiling's best observation.
+	var bestRate, offlineRate float64
+	for try := 0; try < 3 && (try == 0 || bestRate < 0.85*offlineRate); try++ {
+		for _, c := range []struct {
+			opt  tessellate.Options
+			best *float64
+		}{{offline.Best, &offlineRate}, {final, &bestRate}} {
+			tr, err := measure(eng, spec, dims, c.opt, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*c.best = max(*c.best, tr.MUpdates)
 		}
 	}
-	if bestRate < 0.85*offline.BestRate {
+	if bestRate < 0.85*offlineRate {
 		t.Fatalf("adaptive run converged to %+v at %.1f MUpd/s, below 85%% of offline best %.1f MUpd/s (%+v)",
-			final, bestRate, offline.BestRate, offline.Best)
+			final, bestRate, offlineRate, offline.Best)
 	}
 
 	// And the converged run is still exact.

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"tessellate"
@@ -10,8 +12,9 @@ import (
 
 // Pipeline and masked-domain comparison: the experiments behind
 // stencilbench's -pipeline and -mask modes. Both run the tessellated
-// executor against the naive reference on the same seeded input and
-// enforce bitwise checksum agreement — the fused pipeline evaluates
+// executor against the naive reference on the same seeded input, time
+// each scheme as the median of warmed repeats, and enforce bitwise
+// checksum agreement — the fused pipeline evaluates
 // exactly the stage tree the barriered oracle evaluates, and the
 // masked fast path updates exactly the active set — so this is an
 // equality check, not a tolerance.
@@ -103,15 +106,15 @@ func ComparePipelines(scale, threads int) (PipelineReport, error) {
 		var naiveMUpdates, naiveChecksum float64
 		for _, scheme := range []tessellate.Scheme{tessellate.Naive, tessellate.Tessellation} {
 			g := tessellate.NewGrid2D(c.n[0], c.n[1], slopes[0], slopes[1])
-			seedPipeline2D(g, c.name)
 			opt := tessellate.Options{Scheme: scheme, TimeTile: c.bt}
-			start := time.Now()
-			if err := eng.RunPipeline2D(g, c.p, c.steps, nil, opt); err != nil {
+			secs, sum, err := medianRun(
+				func() { g.Step = 0; seedPipeline2D(g, c.name) },
+				func() error { return eng.RunPipeline2D(g, c.p, c.steps, nil, opt) },
+				func() float64 { return checksum2D(g) })
+			if err != nil {
 				return rep, fmt.Errorf("bench: %s/%v: %w", c.name, scheme, err)
 			}
-			secs := time.Since(start).Seconds()
 			updates := float64(c.n[0]) * float64(c.n[1]) * float64(c.steps)
-			sum := checksum2D(g)
 			speedup := 1.0
 			if scheme == tessellate.Naive {
 				naiveMUpdates, naiveChecksum = updates/secs/1e6, sum
@@ -197,26 +200,26 @@ func CompareMasks(scale, threads int) (MaskReport, error) {
 		var naiveMUpdates, naiveChecksum float64
 		for _, scheme := range []tessellate.Scheme{tessellate.Naive, tessellate.Tessellation} {
 			opt := tessellate.Options{Scheme: scheme, TimeTile: c.w.TessBT}
-			var secs, sum float64
+			var reseed func()
+			var run func() error
+			var check func() float64
 			switch len(c.w.N) {
 			case 2:
 				g := tessellate.NewGrid2D(c.w.N[0], c.w.N[1], spec.Slopes[0], spec.Slopes[1])
-				seed2D(g, c.w.Kernel)
-				start := time.Now()
-				if err := eng.RunMasked2D(g, spec, c.w.Steps, m, opt); err != nil {
-					return rep, fmt.Errorf("bench: %s/%s/%v: %w", c.w, c.mask, scheme, err)
-				}
-				secs, sum = time.Since(start).Seconds(), checksum2D(g)
+				reseed = func() { g.Step = 0; seed2D(g, c.w.Kernel) }
+				run = func() error { return eng.RunMasked2D(g, spec, c.w.Steps, m, opt) }
+				check = func() float64 { return checksum2D(g) }
 			case 3:
 				g := tessellate.NewGrid3D(c.w.N[0], c.w.N[1], c.w.N[2], spec.Slopes[0], spec.Slopes[1], spec.Slopes[2])
-				seed3D(g, c.w.Kernel)
-				start := time.Now()
-				if err := eng.RunMasked3D(g, spec, c.w.Steps, m, opt); err != nil {
-					return rep, fmt.Errorf("bench: %s/%s/%v: %w", c.w, c.mask, scheme, err)
-				}
-				secs, sum = time.Since(start).Seconds(), checksum3D(g)
+				reseed = func() { g.Step = 0; seed3D(g, c.w.Kernel) }
+				run = func() error { return eng.RunMasked3D(g, spec, c.w.Steps, m, opt) }
+				check = func() float64 { return checksum3D(g) }
 			default:
 				return rep, fmt.Errorf("bench: mask comparison supports 2D/3D, got rank %d", len(c.w.N))
+			}
+			secs, sum, err := medianRun(reseed, run, check)
+			if err != nil {
+				return rep, fmt.Errorf("bench: %s/%s/%v: %w", c.w, c.mask, scheme, err)
 			}
 			speedup := 1.0
 			if scheme == tessellate.Naive {
@@ -241,6 +244,38 @@ func CompareMasks(scale, threads int) (MaskReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// medianRepeats is how many timed repeats -pipeline and -mask take the
+// median of, after one untimed warm-up.
+const medianRepeats = 5
+
+// medianRun re-seeds (outside the timer) and times run once to warm up
+// and medianRepeats times more, checking every repeat's checksum
+// bitwise against the warm-up's. It returns the median seconds and the
+// checksum.
+func medianRun(reseed func(), run func() error, checksum func() float64) (float64, float64, error) {
+	var secs []float64
+	var sum float64
+	for i := 0; i <= medianRepeats; i++ {
+		reseed()
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, 0, err
+		}
+		d := time.Since(start).Seconds()
+		s := checksum()
+		if i == 0 {
+			sum = s
+			continue
+		}
+		if math.Float64bits(s) != math.Float64bits(sum) {
+			return 0, 0, fmt.Errorf("repeat %d checksum %v != warm-up %v", i, s, sum)
+		}
+		secs = append(secs, d)
+	}
+	sort.Float64s(secs)
+	return secs[len(secs)/2], sum, nil
 }
 
 // seedPipeline2D seeds a pipeline grid deterministically per workload

@@ -78,6 +78,8 @@ func Spec(g *stencil.Generic) (*stencil.Spec, error) {
 		Slopes: append([]int(nil), g.Slopes...),
 		Points: len(g.Offsets),
 		Flops:  2*len(g.Offsets) - 1,
+		// The compiled kernels read only src.
+		Relocatable: true,
 	}
 	switch g.Dims {
 	case 1:

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math"
 
 	"tessellate/internal/grid"
 	"tessellate/internal/par"
@@ -10,76 +10,178 @@ import (
 )
 
 // Pipeline execution. A stencil.Pipeline's logical time step is a
-// chain of atomic stages; the executors here fuse the whole chain into
+// chain of atomic stages; the executors fuse the whole chain into
 // each block visit of the tessellation schedule, built for the
 // pipeline's COMPOUND slope (the per-dimension sum of stage slopes).
 //
 // Geometry: let F be the box a single-stage schedule of the compound
 // slope would write at this visit (Config.Bounds), and grow[i] the sum
 // of the slopes of every stage after i (Pipeline.SuffixSlopes). Stage
-// i executes on F inflated by grow[i] per side, clipped to the domain:
+// i's box is F inflated by grow[i] per side, clipped to the domain:
 //
 //   - the final stage (grow = 0) writes exactly F — the schedule's
 //     proven exactly-once write set (Theorem 3.5);
-//   - stage i's reads of stage j's output (j < i) are contained in
-//     F+grow[j]: every intermediate read hits points THIS visit
-//     already computed, so intermediates never cross visits;
+//   - stage i's reads of stage j's output (j < i) fall inside stage
+//     j's box or the halo beyond the domain, so intermediates never
+//     cross visits;
 //   - stage reads of the state land on F+grow[0] ⊆ the single-stage
 //     read footprint of the compound slope, whose availability is the
 //     schedule's proven correctness condition.
 //
-// Intermediates live in per-worker scratch buffers sharing the grid's
-// exact layout (so stage kernels run unmodified with grid strides).
-// Scratch is private to a worker and recomputed per visit: concurrent
-// blocks share no intermediate state, so the fused run is race-free by
-// construction — the overlap rings are recomputed instead of
-// communicated, the standard trade of overlapped temporal blocking.
-// Scratch halo cells (and, under a mask, inactive interior cells) are
-// initialised to Pipeline.TmpHalo and never written, which is exactly
-// the naive oracle's definition of an intermediate's out-of-domain
-// value.
+// Strip order: a visit walks its boxes along dimension 0 (rows in 2D,
+// x-planes in 3D, points in 1D) in strips of a fixed height sized to
+// L2. At each strip cut c, stage i advances to c+grow[i] (clipped to
+// its box), which is exactly as far as the rows its producers have
+// finished allow — so every stage consumes its producers' rows while
+// they are still in cache. Each value remains the same pure function
+// of the same inputs, so the order is bitwise safe; PrevState is read
+// pointwise by the final blend only (Validate), so it is still read
+// before its own write.
+//
+// Windows: intermediates live in block windows — one per worker and
+// intermediate, owned by the par.Pool and reused across runs. A window
+// spans stage 0's box in dimension 0 plus the grid halo on each side,
+// times the plane stride. Every stage slot is rebased by the same
+// offset (buf[off:], base-off), so the stencil kernels run unmodified
+// with grid strides. That needs every stencil stage Relocatable: a
+// kernel that reads data of its own by the flat index (a coefficient
+// field laid out like the grid) must see absolute indices, so for such
+// pipelines each window spans the whole grid buffer at offset 0, still
+// allocated once per pool.
+//
+// Invariant: on every cell a later stage may read, the window holds
+// what the naive oracle's full-grid intermediate holds there — the
+// stage's value on active cells, TmpHalo elsewhere.
+// A visit therefore writes TmpHalo into the inactive runs and empty
+// sub-boxes of an intermediate stage's box that a later stencil stage
+// can reach (see rad) and into the out-of-domain dimension-0 rows a
+// boundary visit exposes; the halo columns of the other dimensions
+// are never written and are filled once, when the window is allocated
+// or the TmpHalo or grid layout changes.
+//
+// Windows are private to a worker, so concurrent blocks share no
+// intermediate state and the fused run is race-free by construction:
+// the overlap rings are recomputed instead of communicated, the
+// standard trade of overlapped temporal blocking.
 
-// checkPipeline validates p against the executor's dimensionality and
-// returns the compound slopes.
-func checkPipeline(p *stencil.Pipeline, dims int) ([]int, error) {
+// stripBytes is the per-array footprint of one strip: with the state,
+// the intermediates and the output each holding a strip plus its
+// rings, a visit's live rows stay in a private L2.
+const stripBytes = 128 << 10
+
+// stripOverride, when positive, replaces the strip height: a test seam
+// that lands strip cuts inside the boxes of small grids.
+var stripOverride int
+
+// pipeRun is one fused pipeline run: the resolved stages, the grid
+// layout and the strip height, shared by every block visit.
+type pipeRun struct {
+	p      *stencil.Pipeline
+	cfg    *Config
+	m      *grid.Mask
+	d, nst int
+	grow   [][]int
+	h      [3]int // grid halo per dimension
+	stride [3]int // buffer stride per dimension; stride[d-1] == 1
+	strip  int
+	// reloc: every stencil stage is Relocatable, so the windows follow
+	// stage 0's box; otherwise they span the whole grid buffer and the
+	// kernels see the absolute flat indices.
+	reloc bool
+	// rad[j] is the read radius of intermediate j: the largest slope
+	// of a later stencil stage reading it. Only its inactive cells
+	// within rad of an active cell can be read, so an intermediate read
+	// pointwise alone (rad 0) needs no TmpHalo writes at all.
+	rad  [][3]int
+	path stencil.Path
+	// box runs stencil stage i's kernel on the box of extent ext whose
+	// first point is buffer index base (the per-dimension box op).
+	box   func(i int, out, in []float64, base int, ext [3]int)
+	kpath []stencil.Path
+	blend stencil.BlendKernel
+	bpath stencil.Path
+	tag   windowTag
+}
+
+// windowTag is what a worker's windows hold on cells no visit writes:
+// TmpHalo, in the buffer layout of given halos and strides.
+type windowTag struct {
+	halo      uint64
+	h, stride [3]int
+}
+
+// visitCounts accumulates one worker's telemetry over a region.
+type visitCounts struct {
+	pts   int64
+	calls [3]int64 // kernel and blend calls by stencil.Path
+}
+
+// pipeSlots are a visit's stage buffers, rebased by off.
+type pipeSlots struct {
+	src, dst []float64
+	win      [][]float64
+	off      int
+}
+
+// pick resolves a stage input slot to its buffer.
+func (s *pipeSlots) pick(slot int) []float64 {
+	switch slot {
+	case stencil.PrevState:
+		return s.dst
+	case 0:
+		return s.src
+	}
+	return s.win[slot-1]
+}
+
+// newPipeRun validates a run's arguments against the grid extents n and
+// halos h and prepares everything but the per-dimension box op.
+func newPipeRun(p *stencil.Pipeline, cfg *Config, m *grid.Mask, n []int, h, stride [3]int) (*pipeRun, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Dims() != dims {
-		return nil, fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), dims)
+	d := len(n)
+	if p.Dims() != d {
+		return nil, fmt.Errorf("core: pipeline %s is %dD, not %dD", p.Name, p.Dims(), d)
 	}
-	return p.Slopes(), nil
-}
-
-// newScratch allocates per-worker intermediate buffers in the grid's
-// layout, pre-filled with the pipeline's TmpHalo value.
-func newScratch(workers, nTmp, buflen int, halo float64) [][][]float64 {
-	scratch := make([][][]float64, workers)
-	for w := range scratch {
-		scratch[w] = make([][]float64, nTmp)
-		for j := range scratch[w] {
-			s := make([]float64, buflen)
-			if halo != 0 {
-				for i := range s {
-					s[i] = halo
-				}
-			}
-			scratch[w][j] = s
+	slopes := p.Slopes()
+	for k, s := range slopes {
+		if h[k] < s {
+			return nil, fmt.Errorf("core: grid halo %v < compound slopes %v", append([]int(nil), h[:d]...), slopes)
 		}
 	}
-	return scratch
-}
-
-// pickSlot resolves a stage input slot to its backing buffer.
-func pickSlot(slot int, scr [][]float64, srcBuf, dstBuf []float64) []float64 {
-	switch slot {
-	case stencil.PrevState:
-		return dstBuf
-	case 0:
-		return srcBuf
-	default:
-		return scr[slot-1]
+	if err := checkConfig(cfg, n, slopes); err != nil {
+		return nil, err
 	}
+	if m != nil {
+		if err := checkMask(m, n); err != nil {
+			return nil, err
+		}
+	}
+	pr := &pipeRun{p: p, cfg: cfg, m: m, d: d, nst: len(p.Stages), grow: p.SuffixSlopes(),
+		h: h, stride: stride, path: RunPath(), kpath: make([]stencil.Path, len(p.Stages)),
+		tag: windowTag{halo: math.Float64bits(p.TmpHalo), h: h, stride: stride}}
+	pr.blend, pr.bpath = stencil.ResolveBlend(pr.path)
+	pr.rad, pr.reloc = make([][3]int, pr.nst), true
+	for _, st := range p.Stages {
+		if st.Spec != nil {
+			pr.reloc = pr.reloc && st.Spec.Relocatable
+		}
+		if st.Spec != nil && st.In > 0 {
+			for k, s := range st.Spec.Slopes {
+				pr.rad[st.In-1][k] = max(pr.rad[st.In-1][k], s)
+			}
+		}
+	}
+	cross := 1
+	for k := 1; k < d; k++ {
+		cross *= min(cfg.Big[k], n[k])
+	}
+	pr.strip = max(1, stripBytes/(8*cross))
+	if stripOverride > 0 {
+		pr.strip = stripOverride
+	}
+	return pr, nil
 }
 
 // RunPipeline1D advances a 1D grid by steps logical time steps of the
@@ -87,124 +189,18 @@ func pickSlot(slot int, scr [][]float64, srcBuf, dstBuf []float64) []float64 {
 // and cfg.Slopes must match the pipeline's compound slope. A non-nil
 // mask restricts every stage to its active points (see RunMasked1D).
 func RunPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 1)
+	pr, err := newPipeRun(p, cfg, m, []int{g.N}, [3]int{g.H}, [3]int{1})
 	if err != nil {
 		return err
 	}
-	if g.H < slopes[0] {
-		return fmt.Errorf("core: grid halo %d < compound slope %d", g.H, slopes[0])
-	}
-	if err := checkConfig(cfg, []int{g.N}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.N}); err != nil {
-			return err
-		}
-	}
-	return runPipeline1D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
-}
-
-func runPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	h := g.H
-	pth := RunPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel1DBlock, nst)
-	kpath := make([]stencil.Path, nst)
+	kern := make([]stencil.Kernel1DBlock, pr.nst)
 	for i, st := range p.Stages {
 		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve1D(pth)
+			kern[i], pr.kpath[i] = st.Spec.Resolve1D(pr.path)
 		}
 	}
-	grow := p.SuffixSlopes()
-	scratch := newScratch(pool.Workers(), nst-1, len(g.Buf[0]), p.TmpHalo)
-	pb := g.Step & 1
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr := scratch[wkr]
-			var flo, fhi, clo, chi, slo, shi [1]int
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					clo[0], chi[0] = flo[0], fhi[0]
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0] - clo[0])
-					}
-					for i := 0; i < nst; i++ {
-						st := &p.Stages[i]
-						slo[0], shi[0] = flo[0]-grow[i][0], fhi[0]+grow[i][0]
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						out := dstBuf
-						if i < nst-1 {
-							out = scr[i]
-						}
-						run := func(a, b int) {
-							if st.Spec != nil {
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](out, in, a+h, b+h)
-								switch kpath[i] {
-								case stencil.PathSIMD:
-									simds++
-								case stencil.PathBlock:
-									blocks++
-								default:
-									rows++
-								}
-								return
-							}
-							ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-							ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-							stencil.BlendRow(out, ia, st.A, ib, st.B, a+h, b+h)
-						}
-						if m == nil {
-							run(slo[0], shi[0])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == shi[0]-slo[0] {
-							run(slo[0], shi[0])
-							continue
-						}
-						for a := slo[0]; ; {
-							ra, rb := m.NextRun(0, a, shi[0])
-							if ra >= shi[0] {
-								break
-							}
-							run(ra, rb)
-							a = rb
-						}
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
+	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, base+e[0]) }
+	pr.run(&g.Buf, g.Step, steps, pool)
 	g.Step += steps
 	return nil
 }
@@ -212,132 +208,19 @@ func runPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, 
 // RunPipeline2D advances a 2D grid by steps logical time steps of the
 // pipeline (see RunPipeline1D).
 func RunPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 2)
+	pr, err := newPipeRun(p, cfg, m, []int{g.NX, g.NY}, [3]int{g.HX, g.HY}, [3]int{g.SY, 1})
 	if err != nil {
 		return err
 	}
-	if g.HX < slopes[0] || g.HY < slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < compound slopes %v", g.HX, g.HY, slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.NX, g.NY}); err != nil {
-			return err
-		}
-	}
-	return runPipeline2D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
-}
-
-func runPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := RunPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel2DBlock, nst)
-	kpath := make([]stencil.Path, nst)
+	kern := make([]stencil.Kernel2DBlock, pr.nst)
 	for i, st := range p.Stages {
 		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve2D(pth)
+			kern[i], pr.kpath[i] = st.Spec.Resolve2D(pr.path)
 		}
 	}
-	grow := p.SuffixSlopes()
-	scratch := newScratch(pool.Workers(), nst-1, len(g.Buf[0]), p.TmpHalo)
-	pb := g.Step & 1
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr := scratch[wkr]
-			var flo, fhi, clo, chi, slo, shi [2]int
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					copy(clo[:], flo[:])
-					copy(chi[:], fhi[:])
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0]-clo[0]) * int64(chi[1]-clo[1])
-					}
-					for i := 0; i < nst; i++ {
-						st := &p.Stages[i]
-						for k := 0; k < 2; k++ {
-							slo[k], shi[k] = flo[k]-grow[i][k], fhi[k]+grow[i][k]
-						}
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						out := dstBuf
-						if i < nst-1 {
-							out = scr[i]
-						}
-						run := func(x0, y0, nx, ny int) {
-							base := g.Idx(x0, y0)
-							if st.Spec != nil {
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](out, in, base, nx, ny, g.SY)
-								switch kpath[i] {
-								case stencil.PathSIMD:
-									simds++
-								case stencil.PathBlock:
-									blocks++
-								default:
-									rows += int64(nx)
-								}
-								return
-							}
-							ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-							ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-							for x := 0; x < nx; x++ {
-								stencil.BlendRow(out, ia, st.A, ib, st.B, base, base+ny)
-								base += g.SY
-							}
-						}
-						if m == nil {
-							run(slo[0], slo[1], shi[0]-slo[0], shi[1]-slo[1])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == (shi[0]-slo[0])*(shi[1]-slo[1]) {
-							run(slo[0], slo[1], shi[0]-slo[0], shi[1]-slo[1])
-							continue
-						}
-						for x := slo[0]; x < shi[0]; x++ {
-							for a := slo[1]; ; {
-								ra, rb := m.NextRun(x, a, shi[1])
-								if ra >= shi[1] {
-									break
-								}
-								run(x, ra, 1, rb-ra)
-								a = rb
-							}
-						}
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
+	sy := g.SY
+	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, e[0], e[1], sy) }
+	pr.run(&g.Buf, g.Step, steps, pool)
 	g.Step += steps
 	return nil
 }
@@ -345,140 +228,244 @@ func runPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, 
 // RunPipeline3D advances a 3D grid by steps logical time steps of the
 // pipeline (see RunPipeline1D).
 func RunPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	slopes, err := checkPipeline(p, 3)
+	pr, err := newPipeRun(p, cfg, m, []int{g.NX, g.NY, g.NZ}, [3]int{g.HX, g.HY, g.HZ}, [3]int{g.SX, g.SY, 1})
 	if err != nil {
 		return err
 	}
-	if g.HX < slopes[0] || g.HY < slopes[1] || g.HZ < slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < compound slopes %v", g.HX, g.HY, g.HZ, slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY, g.NZ}, slopes); err != nil {
-		return err
-	}
-	if m != nil {
-		if err := checkMask(m, []int{g.NX, g.NY, g.NZ}); err != nil {
-			return err
-		}
-	}
-	return runPipeline3D(g, p, steps, cfg, cfg.Regions(steps), pool, nil, m)
-}
-
-func runPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool, m *grid.Mask) error {
-	pth := RunPath()
-	nst := len(p.Stages)
-	kern := make([]stencil.Kernel3DBlock, nst)
-	kpath := make([]stencil.Path, nst)
+	kern := make([]stencil.Kernel3DBlock, pr.nst)
 	for i, st := range p.Stages {
 		if st.Spec != nil {
-			kern[i], kpath[i] = st.Spec.Resolve3D(pth)
+			kern[i], pr.kpath[i] = st.Spec.Resolve3D(pr.path)
 		}
 	}
-	grow := p.SuffixSlopes()
-	scratch := newScratch(pool.Workers(), nst-1, len(g.Buf[0]), p.TmpHalo)
-	pb := g.Step & 1
-	ny := g.NY
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			scr := scratch[wkr]
-			var flo, fhi, clo, chi, slo, shi [3]int
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dstBuf, srcBuf := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					cfg.Bounds(&r, &r.Blocks[bi], t, flo[:], fhi[:])
-					copy(clo[:], flo[:])
-					copy(chi[:], fhi[:])
-					if !ClipBox(clo[:], chi[:], cfg.N) {
-						continue
-					}
-					if m != nil {
-						n := m.CountBox(clo[:], chi[:])
-						if n == 0 {
-							continue
-						}
-						if sp != nil {
-							pts += int64(n)
-						}
-					} else if sp != nil {
-						pts += int64(chi[0]-clo[0]) * int64(chi[1]-clo[1]) * int64(chi[2]-clo[2])
-					}
-					for i := 0; i < nst; i++ {
-						st := &p.Stages[i]
-						for k := 0; k < 3; k++ {
-							slo[k], shi[k] = flo[k]-grow[i][k], fhi[k]+grow[i][k]
-						}
-						if !ClipBox(slo[:], shi[:], cfg.N) {
-							continue
-						}
-						out := dstBuf
-						if i < nst-1 {
-							out = scr[i]
-						}
-						run := func(x0, y0, z0, nx, nyy, nz int) {
-							xBase := g.Idx(x0, y0, z0)
-							if st.Spec != nil {
-								in := pickSlot(st.In, scr, srcBuf, dstBuf)
-								kern[i](out, in, xBase, nx, nyy, nz, g.SY, g.SX)
-								switch kpath[i] {
-								case stencil.PathSIMD:
-									simds++
-								case stencil.PathBlock:
-									blocks++
-								default:
-									rows += int64(nx) * int64(nyy)
-								}
-								return
-							}
-							ia := pickSlot(st.In, scr, srcBuf, dstBuf)
-							ib := pickSlot(st.InB, scr, srcBuf, dstBuf)
-							for x := 0; x < nx; x++ {
-								base := xBase
-								for y := 0; y < nyy; y++ {
-									stencil.BlendRow(out, ia, st.A, ib, st.B, base, base+nz)
-									base += g.SY
-								}
-								xBase += g.SX
-							}
-						}
-						if m == nil {
-							run(slo[0], slo[1], slo[2], shi[0]-slo[0], shi[1]-slo[1], shi[2]-slo[2])
-							continue
-						}
-						n := m.CountBox(slo[:], shi[:])
-						if n == 0 {
-							continue
-						}
-						if n == (shi[0]-slo[0])*(shi[1]-slo[1])*(shi[2]-slo[2]) {
-							run(slo[0], slo[1], slo[2], shi[0]-slo[0], shi[1]-slo[1], shi[2]-slo[2])
-							continue
-						}
-						for x := slo[0]; x < shi[0]; x++ {
-							for y := slo[1]; y < shi[1]; y++ {
-								row := x*ny + y
-								for a := slo[2]; ; {
-									ra, rb := m.NextRun(row, a, shi[2])
-									if ra >= shi[2] {
-										break
-									}
-									run(x, y, ra, 1, 1, rb-ra)
-									a = rb
-								}
-							}
-						}
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
-	}
+	sy, sx := g.SY, g.SX
+	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, e[0], e[1], e[2], sy, sx) }
+	pr.run(&g.Buf, g.Step, steps, pool)
 	g.Step += steps
 	return nil
+}
+
+// run executes the schedule for steps time steps from time level step.
+func (pr *pipeRun) run(bufs *[2][]float64, step, steps int, pool *par.Pool) {
+	pb := step & 1
+	regions := pr.cfg.Regions(steps)
+	for ri := range regions {
+		r := &regions[ri]
+		sp := beginRegion()
+		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
+			var c visitCounts
+			var flo, fhi [3]int
+			b0, b1 := r.Span(gi)
+			for t := r.T0; t < r.T1; t++ {
+				dst, src := bufs[(t+pb+1)&1], bufs[(t+pb)&1]
+				for bi := b0; bi < b1; bi++ {
+					pr.cfg.Bounds(r, &r.Blocks[bi], t, flo[:pr.d], fhi[:pr.d])
+					pr.visit(pool, wkr, src, dst, &flo, &fhi, &c)
+				}
+			}
+			sp.addPoints(wkr, c.pts)
+			sp.addKernelCalls(wkr, c.calls[stencil.PathRow], c.calls[stencil.PathBlock], c.calls[stencil.PathSIMD])
+		})
+		sp.end(pr.cfg, r, ri)
+	}
+}
+
+// stageBox sets [lo, hi) to stage i's box at a visit whose final box is
+// [flo, fhi): F grown by grow[i], clipped to the domain.
+func (pr *pipeRun) stageBox(i int, flo, fhi, lo, hi *[3]int) {
+	for k := 0; k < pr.d; k++ {
+		lo[k] = max(flo[k]-pr.grow[i][k], 0)
+		hi[k] = min(fhi[k]+pr.grow[i][k], pr.cfg.N[k])
+	}
+}
+
+// visit runs every stage of one block visit with final box [flo, fhi),
+// strip by strip, in worker wkr's windows.
+func (pr *pipeRun) visit(pool *par.Pool, wkr int, src, dst []float64, flo, fhi *[3]int, c *visitCounts) {
+	d, n := pr.d, pr.cfg.N
+	lo, hi := *flo, *fhi
+	if !ClipBox(lo[:d], hi[:d], n) {
+		return
+	}
+	if pr.m != nil {
+		k := pr.m.CountBox(lo[:d], hi[:d])
+		if k == 0 {
+			return
+		}
+		c.pts += int64(k)
+	} else {
+		c.pts += boxVolume(lo[:d], hi[:d])
+	}
+	var l, u [3]int
+	pr.stageBox(0, flo, fhi, &l, &u)
+	h0, plane := pr.h[0], pr.stride[0]
+	base, size := -h0, len(src) // domain row of window row 0; length
+	if pr.reloc {
+		base, size = l[0]-h0, (u[0]-l[0]+2*h0)*plane
+	}
+	sl := pipeSlots{off: (base + h0) * plane}
+	sl.src, sl.dst = src[sl.off:], dst[sl.off:]
+	if pr.nst > 1 {
+		s := pool.Scratch(wkr, pr.nst-1, size)
+		if s.Tag != pr.tag {
+			for _, b := range s.Bufs {
+				fill(b, pr.p.TmpHalo)
+			}
+			s.Tag = pr.tag
+		}
+		sl.win = s.Bufs[:pr.nst-1]
+		// Window row r is domain row base+r. Rows below h0 lie under
+		// every visit's boxes and keep their TmpHalo; the rows past the
+		// domain's end may hold another visit's values.
+		top := (n[0] - base) * plane
+		for j := range sl.win {
+			if pr.rad[j][0] > 0 && u[0] == n[0] {
+				fill(sl.win[j][top:top+h0*plane], pr.p.TmpHalo)
+			}
+		}
+	}
+	for cut, first := lo[0], true; ; first = false {
+		prev := cut
+		cut += pr.strip
+		last := cut >= hi[0]
+		for i := 0; i < pr.nst; i++ {
+			pr.stageBox(i, flo, fhi, &l, &u)
+			g := pr.grow[i][0]
+			if !first {
+				l[0] = max(l[0], prev+g)
+			}
+			if !last {
+				u[0] = min(u[0], cut+g)
+			}
+			if l[0] < u[0] {
+				pr.stage(i, &sl, &l, &u, c)
+			}
+		}
+		if last {
+			return
+		}
+	}
+}
+
+// stage runs stage i on the non-empty box [lo, hi). Under a mask only
+// active cells get the stage's value; an intermediate's inactive cells
+// get TmpHalo, which is what the naive oracle holds there.
+func (pr *pipeRun) stage(i int, sl *pipeSlots, lo, hi *[3]int, c *visitCounts) {
+	if pr.m == nil {
+		pr.apply(i, sl, lo, hi, c)
+		return
+	}
+	d, last := pr.d, pr.d-1
+	act := pr.m.CountBox(lo[:d], hi[:d])
+	if int64(act) == boxVolume(lo[:d], hi[:d]) {
+		pr.apply(i, sl, lo, hi, c)
+		return
+	}
+	var out []float64 // the window that needs TmpHalo on inactive cells
+	if i < pr.nst-1 && pr.rad[i] != [3]int{} {
+		out = sl.win[i]
+	}
+	if act == 0 {
+		il, iu := *lo, *hi
+		for k := 0; k < d; k++ {
+			il[k], iu[k] = max(lo[k]-pr.rad[i][k], 0), min(hi[k]+pr.rad[i][k], pr.cfg.N[k])
+		}
+		if out == nil || pr.m.CountBox(il[:d], iu[:d]) == 0 {
+			return // no active cell reads this box
+		}
+	}
+	pr.eachRow(lo, hi, func(row int, p [3]int) {
+		rl, ru := p, p
+		for k := 0; k < last; k++ {
+			ru[k]++
+		}
+		for a := lo[last]; a < hi[last]; {
+			ra, rb := hi[last], hi[last]
+			if act > 0 {
+				ra, rb = pr.m.NextRun(row, a, hi[last])
+			}
+			if out != nil && ra > a {
+				rl[last] = a
+				b := pr.idx(&rl) - sl.off
+				fill(out[b:b+ra-a], pr.p.TmpHalo)
+			}
+			if ra >= hi[last] {
+				return
+			}
+			rl[last], ru[last] = ra, rb
+			pr.apply(i, sl, &rl, &ru, c)
+			a = rb
+		}
+	})
+}
+
+// apply runs stage i over every cell of the non-empty box [lo, hi).
+func (pr *pipeRun) apply(i int, sl *pipeSlots, lo, hi *[3]int, c *visitCounts) {
+	st := &pr.p.Stages[i]
+	out := sl.dst
+	if i < pr.nst-1 {
+		out = sl.win[i]
+	}
+	var ext [3]int
+	rows := int64(1)
+	for k := 0; k < pr.d; k++ {
+		ext[k] = hi[k] - lo[k]
+		if k < pr.d-1 {
+			rows *= int64(ext[k])
+		}
+	}
+	if st.Spec != nil {
+		pr.box(i, out, sl.pick(st.In), pr.idx(lo)-sl.off, ext)
+		if pr.kpath[i] == stencil.PathRow {
+			c.calls[stencil.PathRow] += rows
+		} else {
+			c.calls[pr.kpath[i]]++
+		}
+		return
+	}
+	ia, ib, n := sl.pick(st.In), sl.pick(st.InB), ext[pr.d-1]
+	pr.eachRow(lo, hi, func(_ int, p [3]int) {
+		b := pr.idx(&p) - sl.off
+		pr.blend(out, ia, st.A, ib, st.B, b, b+n)
+	})
+	c.calls[pr.bpath] += rows
+}
+
+// eachRow calls fn for every unit-stride row of the box [lo, hi) with
+// the row's mask index and its start point p (p[d-1] == lo[d-1]).
+func (pr *pipeRun) eachRow(lo, hi *[3]int, fn func(row int, p [3]int)) {
+	p := *lo
+	for {
+		row := 0
+		for k := 0; k < pr.d-1; k++ {
+			row = row*pr.cfg.N[k] + p[k]
+		}
+		fn(row, p)
+		k := pr.d - 2
+		for ; k >= 0; k-- {
+			if p[k]++; p[k] < hi[k] {
+				break
+			}
+			p[k] = lo[k]
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
+// idx returns the buffer index of domain point p.
+func (pr *pipeRun) idx(p *[3]int) int {
+	i := 0
+	for k := 0; k < pr.d; k++ {
+		i += (p[k] + pr.h[k]) * pr.stride[k]
+	}
+	return i
+}
+
+// fill sets every element of s to v.
+func fill(s []float64, v float64) {
+	for i := range s {
+		s[i] = v
+	}
 }

@@ -290,7 +290,10 @@ func randomMask1D(n int, rng *rand.Rand) *grid.Mask {
 // asserting two properties per input:
 //
 //  1. the tessellated result is bitwise equal to the naive multi-stage
-//     reference (masked or not), and
+//     reference (masked or not) at strip heights 1, 2, 3 and the
+//     default, so strip cuts land inside the boxes; each height runs
+//     twice on the same pool, the second run inheriting the windows the
+//     first (and every earlier input) left behind, and
 //  2. the schedule's clipped final boxes cover the active set exactly
 //     once per step (the masked form of Theorem 3.5):
 //     sum over visits of CountBox == ActiveCount * steps.
@@ -322,18 +325,29 @@ func FuzzPipelineGeometry(f *testing.F) {
 		}
 		m := randomMask1D(cfg.N[0], rng)
 		steps := 1 + rng.Intn(3*bt+2)
+		if rng.Intn(2) == 0 {
+			p = absolute(p) // grid-sized scratch, absolute indices
+		}
 
 		g := grid.NewGrid1D(cfg.N[0], slope)
 		fill1D(g, seed)
 		ref := g.Clone()
-		if err := RunPipeline1D(g, p, steps, &cfg, pool, m); err != nil {
-			t.Fatalf("cfg=%+v: %v", cfg, err)
-		}
 		if err := naive.RunPipeline1D(ref, p, steps, nil, m); err != nil {
 			t.Fatal(err)
 		}
-		if r := verify.Grids1D(g, ref); !r.Equal {
-			t.Fatalf("cfg=%+v steps=%d masked=%v: %v", cfg, steps, m != nil, r.Error("fuzz-pipeline"))
+		defer func() { stripOverride = 0 }()
+		for _, strip := range []int{1, 2, 3, 0} {
+			stripOverride = strip
+			for run := 0; run < 2; run++ {
+				got := g.Clone()
+				if err := RunPipeline1D(got, p, steps, &cfg, pool, m); err != nil {
+					t.Fatalf("cfg=%+v: %v", cfg, err)
+				}
+				if r := verify.Grids1D(got, ref); !r.Equal {
+					t.Fatalf("cfg=%+v steps=%d masked=%v strip=%d run=%d: %v",
+						cfg, steps, m != nil, strip, run, r.Error("fuzz-pipeline"))
+				}
+			}
 		}
 
 		// Exactly-once coverage of the active set.

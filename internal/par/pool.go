@@ -53,6 +53,9 @@ type Pool struct {
 	placement []atomic.Int64
 	locked    []bool
 	pinErr    atomic.Pointer[pinFailure]
+
+	// scratch holds each worker's reusable buffers (see Scratch).
+	scratch []Scratch
 }
 
 // capturedPanic boxes a recovered panic value so it can live in an
@@ -99,6 +102,7 @@ func NewPoolOpts(workers int, opts PoolOptions) *Pool {
 		placement: make([]atomic.Int64, workers),
 		locked:    make([]bool, workers),
 		pinCPUs:   append([]int(nil), opts.CPUs...),
+		scratch:   make([]Scratch, workers),
 	}
 	for w := range p.placement {
 		p.placement[w].Store(-1)
@@ -137,12 +141,55 @@ func (p *Pool) runJob(job func(worker int), w int) {
 // Workers reports the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the pool down. It must not be called concurrently with
-// For. Close is idempotent.
+// Close shuts the pool down and frees its scratch buffers. It must not
+// be called concurrently with For. Close is idempotent.
 func (p *Pool) Close() {
 	if p.closed.CompareAndSwap(false, true) {
 		close(p.jobs)
+		for w := range p.scratch {
+			telemetry.PipelineScratchBytes.AddUngated(-float64(p.scratch[w].bytes()))
+			p.scratch[w] = Scratch{}
+		}
 	}
+}
+
+// Scratch is one worker's set of reusable float64 buffers.
+type Scratch struct {
+	Bufs [][]float64
+	// Tag is the owner's record of what Bufs hold. Pool.Scratch resets
+	// it to nil whenever it reallocates the buffers.
+	Tag any
+}
+
+func (s *Scratch) bytes() int {
+	if len(s.Bufs) == 0 {
+		return 0
+	}
+	return 8 * len(s.Bufs) * len(s.Bufs[0])
+}
+
+// Scratch returns worker w's k scratch buffers of at least n float64s
+// each. They persist across calls and runs until Close, so their
+// contents carry over; they are reallocated (zeroed, Tag nil) only when
+// k or n outgrows them. Only region bodies running as worker w, or the
+// caller between regions, may use them. The bytes held are reported in
+// tess_pipeline_scratch_bytes.
+func (p *Pool) Scratch(w, k, n int) *Scratch {
+	s := &p.scratch[w]
+	if len(s.Bufs) >= k && (k == 0 || len(s.Bufs[0]) >= n) {
+		return s
+	}
+	old := s.bytes()
+	k, n = max(k, len(s.Bufs)), max(n, 1)
+	if len(s.Bufs) > 0 {
+		n = max(n, len(s.Bufs[0]))
+	}
+	*s = Scratch{Bufs: make([][]float64, k)}
+	for j := range s.Bufs {
+		s.Bufs[j] = make([]float64, n)
+	}
+	telemetry.PipelineScratchBytes.AddUngated(float64(s.bytes() - old))
+	return s
 }
 
 // broadcast runs fn(w) exactly once on every worker's own goroutine

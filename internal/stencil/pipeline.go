@@ -201,14 +201,54 @@ func (p *Pipeline) String() string {
 	return fmt.Sprintf("%s (%d stages, %dD, compound slopes %v)", p.Name, len(p.Stages), p.Dims(), p.Slopes())
 }
 
-// BlendRow computes dst[i] = ca*a[i] + cb*b[i] for i in [lo, hi). It is
-// the single blend implementation shared by the fused executors and
-// the naive oracle, so blend arithmetic is bitwise-identical across
-// schemes by construction. a or b may alias dst (the PrevState read):
-// each element is read before it is written and elements are
-// independent.
+// BlendKernel computes dst[i] = ca*a[i] + cb*b[i] for i in [lo, hi).
+// a or b may alias dst (the PrevState read): each element is read
+// before it is written and elements are independent.
+type BlendKernel func(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int)
+
+// BlendRow is the row tier of the blend and the naive oracle's loop.
+// Every tier rounds each product before the sum (the explicit
+// conversions forbid FMA contraction on every platform), so blends are
+// bitwise-identical across tiers and schemes — up to which payload a
+// sum of two NaN products keeps, which IEEE 754 leaves open.
 func BlendRow(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		dst[i] = ca*a[i] + cb*b[i]
+		dst[i] = float64(ca*a[i]) + float64(cb*b[i])
 	}
+}
+
+// blendBlock is the block tier: BlendRow with the bounds checks hoisted
+// out of a 4-way unrolled body.
+func blendBlock(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	d := dst[lo:hi]
+	x, y := a[lo:hi], b[lo:hi]
+	i := 0
+	for ; i+4 <= len(d); i += 4 {
+		d[i] = float64(ca*x[i]) + float64(cb*y[i])
+		d[i+1] = float64(ca*x[i+1]) + float64(cb*y[i+1])
+		d[i+2] = float64(ca*x[i+2]) + float64(cb*y[i+2])
+		d[i+3] = float64(ca*x[i+3]) + float64(cb*y[i+3])
+	}
+	for ; i < len(d); i++ {
+		d[i] = float64(ca*x[i]) + float64(cb*y[i])
+	}
+}
+
+// blendSIMD is the vector tier, set at init where the platform has one.
+var blendSIMD BlendKernel
+
+// ResolveBlend returns the blend kernel for dispatch ceiling p and the
+// tier that answered; like Spec.Resolve*, simd degrades to block where
+// the platform has no vector blend.
+func ResolveBlend(p Path) (BlendKernel, Path) {
+	if p >= PathSIMD && blendSIMD != nil {
+		return blendSIMD, PathSIMD
+	}
+	if p >= PathBlock {
+		return blendBlock, PathBlock
+	}
+	return BlendRow, PathRow
 }

@@ -26,6 +26,9 @@ func avx2Heat3DPair(dst, src *float64, n, sy, sx int)
 //go:noescape
 func avx2Heat3DRow(dst, src *float64, n, sy, sx int)
 
+//go:noescape
+func avx2Blend(dst, a *float64, ca float64, b *float64, cb float64, n int)
+
 // SIMDAvailable reports whether the hand-tuned vector kernels are
 // usable on this machine: amd64, not purego, and AVX2 present.
 func SIMDAvailable() bool { return cpu.HasAVX2 }
@@ -38,6 +41,24 @@ func init() {
 	P1D5.S1 = simdP1D5
 	Heat2D.S2 = simdHeat2D
 	Heat3D.S3 = simdHeat3D
+	blendSIMD = simdBlend
+}
+
+// simdBlend is BlendRow with the 4-wide body in AVX2 and the lane
+// remainder in the identical scalar expression.
+func simdBlend(dst, a []float64, ca float64, b []float64, cb float64, lo, hi int) {
+	n := hi - lo
+	if n <= 0 {
+		return
+	}
+	_, _, _ = dst[hi-1], a[hi-1], b[hi-1]
+	q := n &^ 3
+	if q > 0 {
+		avx2Blend(&dst[lo], &a[lo], ca, &b[lo], cb, q)
+	}
+	for i := lo + q; i < hi; i++ {
+		dst[i] = float64(ca*a[i]) + float64(cb*b[i])
+	}
 }
 
 // simdHeat1D is heat1DBlock with the 4-wide body in AVX2; the lane

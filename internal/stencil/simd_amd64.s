@@ -266,3 +266,30 @@ loop3dr:
 	JLT     loop3dr
 	VZEROUPPER
 	RET
+
+// func avx2Blend(dst, a *float64, ca float64, b *float64, cb float64, n int)
+// dst[i] = ca*a[i] + cb*b[i]: two products rounded separately, then
+// the sum. Each operation keeps the scalar code's operand order (the
+// data operand first), so even the NaN a lane propagates matches.
+// a or b may alias dst: a quad is loaded in full before it is stored.
+TEXT ·avx2Blend(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	VBROADCASTSD ca+16(FP), Y0
+	MOVQ b+24(FP), DX
+	VBROADCASTSD cb+32(FP), Y1
+	MOVQ n+40(FP), CX
+	XORQ AX, AX
+
+loopblend:
+	VMOVUPD (SI)(AX*8), Y2          // a
+	VMOVUPD (DX)(AX*8), Y3          // b
+	VMULPD  Y0, Y2, Y2              // a*ca
+	VMULPD  Y1, Y3, Y3              // b*cb
+	VADDPD  Y3, Y2, Y2              // a*ca + b*cb
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     loopblend
+	VZEROUPPER
+	RET

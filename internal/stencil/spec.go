@@ -100,6 +100,16 @@ type Spec struct {
 	S1 Kernel1DBlock // optional, Dims == 1
 	S2 Kernel2DBlock // optional, Dims == 2
 	S3 Kernel3DBlock // optional, Dims == 3
+
+	// Relocatable declares that the kernels touch no memory but dst
+	// and src, at offsets from the points they update: no per-point
+	// data of their own indexed by the flat index (a coefficient field
+	// laid out like the grid, as NewVarCoef2D's). Executors may then
+	// run them on rebased buffers (dst[off:], src[off:], base-off).
+	// The fused pipeline executor keeps intermediates in small block
+	// windows only when every stencil stage is relocatable, and in
+	// grid-sized scratch otherwise.
+	Relocatable bool
 }
 
 // RowOnly returns a copy of the spec with the block and SIMD kernels
@@ -151,6 +161,12 @@ var (
 
 // All lists the benchmark stencils in the order of the paper's Table 4.
 var All = []*Spec{Heat1D, P1D5, Heat2D, Box2D9, Life, Heat3D, Box3D27}
+
+func init() {
+	for _, s := range All {
+		s.Relocatable = true // pure stencils: they read only src
+	}
+}
 
 // ByName returns the benchmark spec with the given name, or an error
 // listing the valid names.

@@ -68,6 +68,12 @@ var (
 	PoolWorkersPinned = Default.NewGauge(
 		"tess_pool_workers_pinned",
 		"Pool workers currently pinned to a CPU core.").Gauge()
+	// PipelineScratchBytes is the memory worker pools hold in reusable
+	// scratch: the block windows of fused pipeline intermediates.
+	// Written ungated on growth and Close so the level never drifts.
+	PipelineScratchBytes = Default.NewGauge(
+		"tess_pipeline_scratch_bytes",
+		"Bytes of reusable block-window scratch held by worker pools for fused pipeline intermediates.").Gauge()
 )
 
 // internal/core — the tessellation executors.
