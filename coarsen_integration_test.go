@@ -51,7 +51,7 @@ func coarsenDiffOptions(dims int) Options {
 func TestCoarseningBitwiseIdenticalAllKernels(t *testing.T) {
 	eng := NewEngine(3)
 	defer eng.Close()
-	defer core.SetBlockKernels(true)
+	defer core.SetKernelPath(core.KernelPath())
 
 	specs := append([]*Stencil(nil), stencil.All...)
 	const nx1, nx2, ny2, nx3, ny3, nz3 = 89, 40, 36, 18, 15, 16
@@ -71,12 +71,10 @@ func TestCoarseningBitwiseIdenticalAllKernels(t *testing.T) {
 	specs = append(specs, NewVarCoef2D(kappa2), NewVarCoef3D(kappa3))
 
 	for _, spec := range specs {
-		for _, blockPath := range []bool{false, true} {
-			path := "row"
-			if blockPath {
-				path = "block"
+		for _, path := range []string{"row", "block"} {
+			if err := core.SetKernelPath(path); err != nil {
+				t.Fatal(err)
 			}
-			core.SetBlockKernels(blockPath)
 			opt := coarsenDiffOptions(spec.Dims)
 			steps := 4*opt.TimeTile + 1
 

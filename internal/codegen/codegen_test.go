@@ -128,7 +128,7 @@ func TestCompiledSpecUnderTessellation(t *testing.T) {
 // The compiled block kernels must match the row closures bitwise: run
 // the same tessellation schedule with block dispatch on and off.
 func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
-	defer core.SetBlockKernels(true)
+	defer core.SetKernelPath(core.KernelPath())
 	for _, g := range []*stencil.Generic{stencil.NewStar(2, 2), stencil.NewBox(2, 1), stencil.NewStar(3, 1), stencil.NewBox(3, 1)} {
 		spec, err := Spec(g)
 		if err != nil {
@@ -146,11 +146,11 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			a.Fill(func(x, y int) float64 { return rng.Float64() })
 			b := a.Clone()
 			cfg := core.Config{N: []int{36, 40}, Slopes: spec.Slopes, BT: sl, Big: []int{12 * sl, 12 * sl}, Merge: true}
-			core.SetBlockKernels(true)
+			core.SetKernelPath("block")
 			if err := core.Run2D(a, spec, 5, &cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			core.SetBlockKernels(false)
+			core.SetKernelPath("row")
 			if err := core.Run2D(b, spec, 5, &cfg, pool); err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +162,11 @@ func TestCompiledBlockMatchesRowBitwise(t *testing.T) {
 			a.Fill(func(x, y, z int) float64 { return rng.Float64() })
 			b := a.Clone()
 			cfg := core.Config{N: []int{18, 20, 22}, Slopes: spec.Slopes, BT: 1, Big: []int{8, 8, 8}, Merge: true}
-			core.SetBlockKernels(true)
+			core.SetKernelPath("block")
 			if err := core.Run3D(a, spec, 4, &cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-			core.SetBlockKernels(false)
+			core.SetKernelPath("row")
 			if err := core.Run3D(b, spec, 4, &cfg, pool); err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,11 @@
 // for any dimension, and a schedule validator that turns Theorems
 // 3.5/3.6 into executable checks.
 //
+// The plain, masked and distributed executors share one block visit
+// (Config.VisitBlocks) with a per-box op: the visit owns the order in
+// which a block's clipped boxes run, and cuts a block whose step box
+// outgrows a private cache into time-skewed tiles (see visit.go).
+//
 // # Geometry in one paragraph
 //
 // Time is cut into phases of BT steps. Within a phase, stage i

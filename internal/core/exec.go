@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"tessellate/internal/grid"
@@ -25,19 +26,90 @@ func stopped(stop *atomic.Bool) bool {
 	return stop != nil && stop.Load()
 }
 
+// runArgs carries what tells the entry points of one dimension apart:
+// a one-shot config and step count or (cfg == nil) a precomputed
+// schedule, the stop flag, and the mask of a masked run.
+type runArgs struct {
+	cfg    *Config
+	steps  int
+	sched  *Schedule
+	stop   *atomic.Bool
+	m      *grid.Mask
+	masked bool
+}
+
+// schedule validates the run's config or schedule against the grid
+// extents n and the stencil slopes, and resolves what to replay.
+func (a *runArgs) schedule(n, slopes []int) (*Config, []Region, int, error) {
+	if a.cfg == nil {
+		if err := checkSchedule(a.sched, n, slopes); err != nil {
+			return nil, nil, 0, err
+		}
+		return &a.sched.cfg, a.sched.regions, a.sched.steps, nil
+	}
+	if err := checkConfig(a.cfg, n, slopes); err != nil {
+		return nil, nil, 0, err
+	}
+	return a.cfg, a.cfg.Regions(a.steps), a.steps, nil
+}
+
+// stencilRun is one run of a single-stage spec, plain or masked: the
+// validated schedule, the grid layout, the optional mask and the
+// kernel resolved for the run.
+type stencilRun struct {
+	cfg       *Config
+	regions   []Region
+	steps     int
+	stop      *atomic.Bool
+	m         *grid.Mask
+	d         int
+	h, stride [3]int // zero past d
+	path      stencil.Path
+	bufs      *[2][]float64
+	pb        int // buffer parity: current values live in bufs[pb]
+	// The kernel of the run's dimension, resolved on its tier.
+	k1 stencil.Kernel1DBlock
+	k2 stencil.Kernel2DBlock
+	k3 stencil.Kernel3DBlock
+}
+
+// newStencilRun validates a run of spec s, which has a kernel of its
+// dimension when hasKernel is set, on a grid of extents n and halos h
+// whose buffer strides are stride, and samples the run's kernel path:
+// once per run, so a concurrent SetKernelPath cannot mix dispatch
+// shapes within a run.
+func newStencilRun(a runArgs, s *stencil.Spec, hasKernel bool, n, h []int, stride [3]int) (*stencilRun, error) {
+	d := len(n)
+	if s.Dims != d || !hasKernel {
+		return nil, fmt.Errorf("core: %s is not a %dD kernel", s.Name, d)
+	}
+	for k := range h {
+		if h[k] >= s.Slopes[k] {
+			continue
+		}
+		if d == 1 {
+			return nil, fmt.Errorf("core: grid halo %d < slope %d", h[0], s.Slopes[0])
+		}
+		return nil, fmt.Errorf("core: grid halo (%s) < slopes %v", strings.Trim(strings.ReplaceAll(fmt.Sprint(h), " ", ","), "[]"), s.Slopes)
+	}
+	cfg, regions, steps, err := a.schedule(n, s.Slopes)
+	if err != nil {
+		return nil, err
+	}
+	if a.masked {
+		if err := checkMask(a.m, n); err != nil {
+			return nil, err
+		}
+	}
+	sr := &stencilRun{cfg: cfg, regions: regions, steps: steps, stop: a.stop, m: a.m, d: d, stride: stride, path: RunPath()}
+	copy(sr.h[:], h)
+	return sr, nil
+}
+
 // Run1D advances a 1D grid by steps time steps using the tessellation
 // schedule. The grid's halo must be at least the stencil slope.
 func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkConfig(cfg, []int{g.N}, s.Slopes); err != nil {
-		return err
-	}
-	return run1D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
+	return run1D(g, s, pool, runArgs{cfg: cfg, steps: steps})
 }
 
 // RunScheduled1D is Run1D replaying a precomputed Schedule: no region
@@ -45,16 +117,7 @@ func Run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, pool *par.Po
 // no schedule work at all. Results are bitwise identical to Run1D with
 // the schedule's config and step count.
 func RunScheduled1D(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkSchedule(sched, []int{g.N}, s.Slopes); err != nil {
-		return err
-	}
-	return run1D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	return run1D(g, s, pool, runArgs{sched: sched})
 }
 
 // RunScheduled1DStop is RunScheduled1D with a cooperative stop flag
@@ -62,328 +125,162 @@ func RunScheduled1D(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, pool *par.
 // aborts with ErrStopped at the next region boundary (see ErrStopped
 // for the grid contract). A nil stop behaves like RunScheduled1D.
 func RunScheduled1DStop(g *grid.Grid1D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 1 || s.K1 == nil {
-		return fmt.Errorf("core: %s is not a 1D kernel", s.Name)
-	}
-	if g.H < s.Slopes[0] {
-		return fmt.Errorf("core: grid halo %d < slope %d", g.H, s.Slopes[0])
-	}
-	if err := checkSchedule(sched, []int{g.N}, s.Slopes); err != nil {
-		return err
-	}
-	return run1D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
+	return run1D(g, s, pool, runArgs{sched: sched, stop: stop})
 }
 
-func run1D(g *grid.Grid1D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	h := g.H
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := RunPath()
-	useSIMD := p == stencil.PathSIMD && s.S1 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B1 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			var lo, hi [1]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, n0 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0 = hi[0] - lo[0]
-					if n0 <= 0 {
-						continue
-					}
-					rel0 = lo[0] - rep.Origin[0]
-				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, w0 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, w0 = b.Origin[0]+rel0, n0
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, w0 = lo[0], hi[0]-lo[0]
-					}
-					if sp != nil {
-						pts += int64(w0)
-					}
-					if useSIMD {
-						s.S1(dst, src, x0+h, x0+w0+h)
-						simds++
-					} else if useBlock {
-						s.B1(dst, src, x0+h, x0+w0+h)
-						blocks++
-					} else {
-						s.K1(dst, src, x0+h, x0+w0+h)
-						rows++
-					}
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
+func run1D(g *grid.Grid1D, s *stencil.Spec, pool *par.Pool, a runArgs) error {
+	sr, err := newStencilRun(a, s, s.K1 != nil, []int{g.N}, []int{g.H}, [3]int{1})
+	if err != nil {
+		return err
 	}
-	g.Step += steps
-	return nil
+	sr.k1, sr.path = s.Resolve1D(sr.path)
+	return sr.run(&g.Buf, &g.Step, pool)
 }
 
 // Run2D advances a 2D grid by steps time steps using the tessellation
 // schedule.
 func Run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY}, s.Slopes); err != nil {
-		return err
-	}
-	return run2D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
+	return run2D(g, s, pool, runArgs{cfg: cfg, steps: steps})
 }
 
 // RunScheduled2D is Run2D replaying a precomputed Schedule (see
 // RunScheduled1D).
 func RunScheduled2D(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY}, s.Slopes); err != nil {
-		return err
-	}
-	return run2D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	return run2D(g, s, pool, runArgs{sched: sched})
 }
 
 // RunScheduled2DStop is RunScheduled2D with a cooperative stop flag
 // (see RunScheduled1DStop).
 func RunScheduled2DStop(g *grid.Grid2D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 2 || s.K2 == nil {
-		return fmt.Errorf("core: %s is not a 2D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] {
-		return fmt.Errorf("core: grid halo (%d,%d) < slopes %v", g.HX, g.HY, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY}, s.Slopes); err != nil {
-		return err
-	}
-	return run2D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
+	return run2D(g, s, pool, runArgs{sched: sched, stop: stop})
 }
 
-func run2D(g *grid.Grid2D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := RunPath()
-	useSIMD := p == stencil.PathSIMD && s.S2 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B2 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
-			return ErrStopped
-		}
-		r := r
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			b0, b1 := r.Span(gi)
-			var lo, hi [2]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, rel1, n0, n1 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0, n1 = hi[0]-lo[0], hi[1]-lo[1]
-					if n0 <= 0 || n1 <= 0 {
-						continue
-					}
-					rel0, rel1 = lo[0]-rep.Origin[0], lo[1]-rep.Origin[1]
-				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, y0, w0, w1 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, y0 = b.Origin[0]+rel0, b.Origin[1]+rel1
-						w0, w1 = n0, n1
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, y0 = lo[0], lo[1]
-						w0, w1 = hi[0]-lo[0], hi[1]-lo[1]
-					}
-					if sp != nil {
-						pts += int64(w0) * int64(w1)
-					}
-					base := g.Idx(x0, y0)
-					if useSIMD {
-						s.S2(dst, src, base, w0, w1, g.SY)
-						simds++
-						continue
-					}
-					if useBlock {
-						s.B2(dst, src, base, w0, w1, g.SY)
-						blocks++
-						continue
-					}
-					for x := 0; x < w0; x++ {
-						s.K2(dst, src, base, w1, g.SY)
-						base += g.SY
-					}
-					rows += int64(w0)
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
-		})
-		sp.end(cfg, &r, ri)
+func run2D(g *grid.Grid2D, s *stencil.Spec, pool *par.Pool, a runArgs) error {
+	sr, err := newStencilRun(a, s, s.K2 != nil, []int{g.NX, g.NY}, []int{g.HX, g.HY}, [3]int{g.SY, 1})
+	if err != nil {
+		return err
 	}
-	g.Step += steps
-	return nil
+	sr.k2, sr.path = s.Resolve2D(sr.path)
+	return sr.run(&g.Buf, &g.Step, pool)
 }
 
 // Run3D advances a 3D grid by steps time steps using the tessellation
 // schedule.
 func Run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkConfig(cfg, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, steps, cfg, cfg.Regions(steps), pool, nil)
+	return run3D(g, s, pool, runArgs{cfg: cfg, steps: steps})
 }
 
 // RunScheduled3D is Run3D replaying a precomputed Schedule (see
 // RunScheduled1D).
 func RunScheduled3D(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, pool *par.Pool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	return run3D(g, s, pool, runArgs{sched: sched})
 }
 
 // RunScheduled3DStop is RunScheduled3D with a cooperative stop flag
 // (see RunScheduled1DStop).
 func RunScheduled3DStop(g *grid.Grid3D, s *stencil.Spec, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
-	if s.Dims != 3 || s.K3 == nil {
-		return fmt.Errorf("core: %s is not a 3D kernel", s.Name)
-	}
-	if g.HX < s.Slopes[0] || g.HY < s.Slopes[1] || g.HZ < s.Slopes[2] {
-		return fmt.Errorf("core: grid halo (%d,%d,%d) < slopes %v", g.HX, g.HY, g.HZ, s.Slopes)
-	}
-	if err := checkSchedule(sched, []int{g.NX, g.NY, g.NZ}, s.Slopes); err != nil {
-		return err
-	}
-	return run3D(g, s, sched.steps, &sched.cfg, sched.regions, pool, stop)
+	return run3D(g, s, pool, runArgs{sched: sched, stop: stop})
 }
 
-func run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {
-	// One path per run: sampled here, never re-read, so a concurrent
-	// SetKernelPath cannot mix dispatch shapes within a run.
-	p := RunPath()
-	useSIMD := p == stencil.PathSIMD && s.S3 != nil
-	useBlock := !useSIMD && p >= stencil.PathBlock && s.B3 != nil
-	pb := g.Step & 1 // buffer parity: current values live in Buf[pb]
-	for ri, r := range regions {
-		if stopped(stop) {
+func run3D(g *grid.Grid3D, s *stencil.Spec, pool *par.Pool, a runArgs) error {
+	sr, err := newStencilRun(a, s, s.K3 != nil, []int{g.NX, g.NY, g.NZ}, []int{g.HX, g.HY, g.HZ}, [3]int{g.SX, g.SY, 1})
+	if err != nil {
+		return err
+	}
+	sr.k3, sr.path = s.Resolve3D(sr.path)
+	return sr.run(&g.Buf, &g.Step, pool)
+}
+
+// run replays the schedule on the grid buffers from time level *step,
+// checking the stop flag at every region boundary, and advances *step
+// when the run completes. Each dispatch group's boxes come from the
+// shared block visit (VisitBlocks).
+func (sr *stencilRun) run(bufs *[2][]float64, step *int, pool *par.Pool) error {
+	sr.bufs, sr.pb = bufs, *step&1
+	for ri := range sr.regions {
+		if stopped(sr.stop) {
 			return ErrStopped
 		}
-		r := r
+		r := &sr.regions[ri]
 		sp := beginRegion()
 		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
+			var c visitCounts
 			b0, b1 := r.Span(gi)
-			var lo, hi [3]int
-			uniform, interior := cfg.groupPlan(&r, b0, b1, lo[:], hi[:])
-			var pts, rows, blocks, simds int64
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
-				var rel0, rel1, rel2, n0, n1, n2 int
-				if uniform {
-					// One bounds computation covers the whole group:
-					// every block's box is the same origin offset.
-					rep := &r.Blocks[b0]
-					cfg.Bounds(&r, rep, t, lo[:], hi[:])
-					n0, n1, n2 = hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-					if n0 <= 0 || n1 <= 0 || n2 <= 0 {
-						continue
-					}
-					rel0, rel1, rel2 = lo[0]-rep.Origin[0], lo[1]-rep.Origin[1], lo[2]-rep.Origin[2]
+			var box Box
+			sr.cfg.VisitBlocks(r, b0, b1, &box, func(t int) {
+				if sr.m != nil {
+					sr.masked(t, &box.Lo, &box.Hi, &c)
+				} else {
+					sr.kernel(t, &box.Lo, &box.Hi, &c)
 				}
-				for bi := b0; bi < b1; bi++ {
-					b := &r.Blocks[bi]
-					var x0, y0, z0, w0, w1, w2 int
-					if uniform && interior&(1<<uint(bi-b0)) != 0 {
-						x0, y0, z0 = b.Origin[0]+rel0, b.Origin[1]+rel1, b.Origin[2]+rel2
-						w0, w1, w2 = n0, n1, n2
-					} else {
-						if !cfg.ClippedBounds(&r, b, t, lo[:], hi[:]) {
-							continue
-						}
-						x0, y0, z0 = lo[0], lo[1], lo[2]
-						w0, w1, w2 = hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-					}
-					if sp != nil {
-						pts += int64(w0) * int64(w1) * int64(w2)
-					}
-					xBase := g.Idx(x0, y0, z0)
-					if useSIMD {
-						s.S3(dst, src, xBase, w0, w1, w2, g.SY, g.SX)
-						simds++
-						continue
-					}
-					if useBlock {
-						s.B3(dst, src, xBase, w0, w1, w2, g.SY, g.SX)
-						blocks++
-						continue
-					}
-					for x := 0; x < w0; x++ {
-						base := xBase
-						for y := 0; y < w1; y++ {
-							s.K3(dst, src, base, w2, g.SY, g.SX)
-							base += g.SY
-						}
-						xBase += g.SX
-					}
-					rows += int64(w0) * int64(w1)
-				}
-			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, blocks, simds)
+			})
+			sp.addPoints(wkr, c.pts)
+			sp.addKernelCalls(wkr, c.calls[stencil.PathRow], c.calls[stencil.PathBlock], c.calls[stencil.PathSIMD])
 		})
-		sp.end(cfg, &r, ri)
+		sp.end(sr.cfg, r, ri)
 	}
-	g.Step += steps
+	*step += sr.steps
 	return nil
+}
+
+// masked updates the active points of the non-empty box [lo, hi) at
+// step t: the whole box when every point is active, nothing when none
+// is, else one kernel call per maximal active run of the unit-stride
+// dimension, which evaluates each active point with bitwise the
+// arithmetic of the whole-box call.
+func (sr *stencilRun) masked(t int, lo, hi *[3]int, c *visitCounts) {
+	d, last := sr.d, sr.d-1
+	switch act := sr.m.CountBox(lo[:d], hi[:d]); {
+	case act == 0:
+		return
+	case int64(act) == boxVolume(lo[:d], hi[:d]):
+		sr.kernel(t, lo, hi, c)
+		return
+	}
+	eachRow(sr.cfg.N, d, lo, hi, func(row int, p [3]int) {
+		q := p
+		for k := 0; k < last; k++ {
+			q[k]++
+		}
+		for a := lo[last]; ; {
+			ra, rb := sr.m.NextRun(row, a, hi[last])
+			if ra >= hi[last] {
+				return
+			}
+			p[last], q[last] = ra, rb
+			sr.kernel(t, &p, &q, c)
+			a = rb
+		}
+	})
+}
+
+// kernel runs the resolved kernel on every point of the non-empty box
+// [lo, hi) at step t, counting its points and its calls on the run's
+// tier (per row or pencil on the row tier). Entries of lo and hi past
+// d are zero, as are those of h and stride.
+func (sr *stencilRun) kernel(t int, lo, hi *[3]int, c *visitCounts) {
+	dst, src := sr.bufs[(t+sr.pb+1)&1], sr.bufs[(t+sr.pb)&1]
+	h, st := &sr.h, &sr.stride
+	base := (lo[0]+h[0])*st[0] + (lo[1]+h[1])*st[1] + (lo[2]+h[2])*st[2]
+	n0, n1, n2 := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
+	var rows, pts int
+	switch sr.d {
+	case 1:
+		sr.k1(dst, src, base, base+n0)
+		rows, pts = 1, n0
+	case 2:
+		sr.k2(dst, src, base, n0, n1, st[0])
+		rows, pts = n0, n0*n1
+	default:
+		sr.k3(dst, src, base, n0, n1, n2, st[1], st[0])
+		rows, pts = n0*n1, n0*n1*n2
+	}
+	c.pts += int64(pts)
+	if sr.path == stencil.PathRow {
+		c.calls[stencil.PathRow] += int64(rows)
+	} else {
+		c.calls[sr.path]++
+	}
 }
 
 // RunND advances an n-dimensional grid by steps time steps using the
@@ -392,40 +289,23 @@ func run3D(g *grid.Grid3D, s *stencil.Spec, steps int, cfg *Config, regions []Re
 // generality); slower than the specialised ones but exercises the
 // identical geometry.
 func RunND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, pool *par.Pool) error {
-	if gs.Dims != g.D() {
-		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
-	}
-	for k := 0; k < g.D(); k++ {
-		if g.Halo[k] < gs.Slopes[k] {
-			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
-		}
-	}
-	if err := checkConfig(cfg, g.Dims, gs.Slopes); err != nil {
-		return err
-	}
-	return runND(g, gs, steps, cfg, cfg.Regions(steps), pool, nil)
+	return runNDArgs(g, gs, pool, runArgs{cfg: cfg, steps: steps})
 }
 
 // RunScheduledND is RunND replaying a precomputed Schedule (see
 // RunScheduled1D).
 func RunScheduledND(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool) error {
-	if gs.Dims != g.D() {
-		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
-	}
-	for k := 0; k < g.D(); k++ {
-		if g.Halo[k] < gs.Slopes[k] {
-			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
-		}
-	}
-	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
-		return err
-	}
-	return runND(g, gs, sched.steps, &sched.cfg, sched.regions, pool, nil)
+	return runNDArgs(g, gs, pool, runArgs{sched: sched})
 }
 
 // RunScheduledNDStop is RunScheduledND with a cooperative stop flag
 // (see RunScheduled1DStop).
 func RunScheduledNDStop(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, pool *par.Pool, stop *atomic.Bool) error {
+	return runNDArgs(g, gs, pool, runArgs{sched: sched, stop: stop})
+}
+
+// runNDArgs validates an ND run and runs it.
+func runNDArgs(g *grid.NDGrid, gs *stencil.Generic, pool *par.Pool, a runArgs) error {
 	if gs.Dims != g.D() {
 		return fmt.Errorf("core: stencil dims %d != grid dims %d", gs.Dims, g.D())
 	}
@@ -434,10 +314,11 @@ func RunScheduledNDStop(g *grid.NDGrid, gs *stencil.Generic, sched *Schedule, po
 			return fmt.Errorf("core: grid halo %v < slopes %v", g.Halo, gs.Slopes)
 		}
 	}
-	if err := checkSchedule(sched, g.Dims, gs.Slopes); err != nil {
+	cfg, regions, steps, err := a.schedule(g.Dims, gs.Slopes)
+	if err != nil {
 		return err
 	}
-	return runND(g, gs, sched.steps, &sched.cfg, sched.regions, pool, stop)
+	return runND(g, gs, steps, cfg, regions, pool, a.stop)
 }
 
 func runND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, regions []Region, pool *par.Pool, stop *atomic.Bool) error {

@@ -98,7 +98,7 @@ func TestOnePathPerRunUnderConcurrentSwitch(t *testing.T) {
 
 // TestSetKernelPathNames pins the selector API: valid names round-trip
 // through KernelPath, unknown names error without changing the
-// setting, and the deprecated bool shim maps onto row/block.
+// setting, and BlockKernelsEnabled tracks the block tier.
 func TestSetKernelPathNames(t *testing.T) {
 	defer SetKernelPath(KernelPath())
 	for _, name := range []string{"row", "block", "simd"} {
@@ -115,13 +115,16 @@ func TestSetKernelPathNames(t *testing.T) {
 	if got := KernelPath(); got != "simd" {
 		t.Fatalf("failed SetKernelPath changed the selection to %q", got)
 	}
-	SetBlockKernels(false)
+	SetKernelPath("row")
 	if got := KernelPath(); got != "row" {
-		t.Fatalf("SetBlockKernels(false) -> %q, want row", got)
+		t.Fatalf("SetKernelPath(row) -> %q, want row", got)
 	}
-	SetBlockKernels(true)
+	if BlockKernelsEnabled() {
+		t.Fatal("BlockKernelsEnabled true on row path")
+	}
+	SetKernelPath("block")
 	if got := KernelPath(); got != "block" {
-		t.Fatalf("SetBlockKernels(true) -> %q, want block", got)
+		t.Fatalf("SetKernelPath(block) -> %q, want block", got)
 	}
 	if !BlockKernelsEnabled() {
 		t.Fatal("BlockKernelsEnabled false on block path")

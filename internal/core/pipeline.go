@@ -374,7 +374,7 @@ func (pr *pipeRun) stage(i int, sl *pipeSlots, lo, hi *[3]int, c *visitCounts) {
 			return // no active cell reads this box
 		}
 	}
-	pr.eachRow(lo, hi, func(row int, p [3]int) {
+	eachRow(pr.cfg.N, pr.d, lo, hi, func(row int, p [3]int) {
 		rl, ru := p, p
 		for k := 0; k < last; k++ {
 			ru[k]++
@@ -424,24 +424,25 @@ func (pr *pipeRun) apply(i int, sl *pipeSlots, lo, hi *[3]int, c *visitCounts) {
 		return
 	}
 	ia, ib, n := sl.pick(st.In), sl.pick(st.InB), ext[pr.d-1]
-	pr.eachRow(lo, hi, func(_ int, p [3]int) {
+	eachRow(pr.cfg.N, pr.d, lo, hi, func(_ int, p [3]int) {
 		b := pr.idx(&p) - sl.off
 		pr.blend(out, ia, st.A, ib, st.B, b, b+n)
 	})
 	c.calls[pr.bpath] += rows
 }
 
-// eachRow calls fn for every unit-stride row of the box [lo, hi) with
-// the row's mask index and its start point p (p[d-1] == lo[d-1]).
-func (pr *pipeRun) eachRow(lo, hi *[3]int, fn func(row int, p [3]int)) {
+// eachRow calls fn for every unit-stride row of the d-dimensional box
+// [lo, hi) in a domain of extents n, with the row's mask index and its
+// start point p (p[d-1] == lo[d-1]).
+func eachRow(n []int, d int, lo, hi *[3]int, fn func(row int, p [3]int)) {
 	p := *lo
 	for {
 		row := 0
-		for k := 0; k < pr.d-1; k++ {
-			row = row*pr.cfg.N[k] + p[k]
+		for k := 0; k < d-1; k++ {
+			row = row*n[k] + p[k]
 		}
 		fn(row, p)
-		k := pr.d - 2
+		k := d - 2
 		for ; k >= 0; k-- {
 			if p[k]++; p[k] < hi[k] {
 				break

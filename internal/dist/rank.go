@@ -333,25 +333,21 @@ func (s *slab) runBlocks(idxs []int, span string) {
 	}
 }
 
-// runBlock executes all time slices of one block with one box-kernel
-// call per clipped box, counting the calls on the run's tier (per row
-// or pencil on the row tier, as core does).
+// runBlock executes one block through the shared block visit with one
+// box-kernel call per box, counting the calls on the run's tier (per
+// row or pencil on the row tier, as core does).
 func (s *slab) runBlock(i, worker int) {
-	reg, d := s.reg, len(s.cfg.N)
-	b := &reg.Blocks[s.idxs[i]]
-	var lo, hi [3]int
+	d, bi := len(s.cfg.N), s.idxs[i]
 	var calls uint64
-	for t := reg.T0; t < reg.T1; t++ {
-		if !s.cfg.ClippedBounds(reg, b, t, lo[:d], hi[:d]) {
-			continue
-		}
-		s.box(t+s.pb, lo, hi)
+	var box core.Box
+	s.cfg.VisitBlocks(s.reg, bi, bi+1, &box, func(t int) {
+		s.box(t+s.pb, box.Lo, box.Hi)
 		n := uint64(1)
 		for k := 0; s.rows && k < d-1; k++ {
-			n *= uint64(hi[k] - lo[k])
+			n *= uint64(box.Hi[k] - box.Lo[k])
 		}
 		calls += n
-	}
+	})
 	s.calls.Add(worker, calls)
 }
 
