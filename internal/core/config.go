@@ -5,10 +5,13 @@
 // for any dimension, and a schedule validator that turns Theorems
 // 3.5/3.6 into executable checks.
 //
-// The plain, masked and distributed executors share one block visit
-// (Config.VisitBlocks) with a per-box op: the visit owns the order in
-// which a block's clipped boxes run, and cuts a block whose step box
-// outgrows a private cache into time-skewed tiles (see visit.go).
+// The plain, masked, pipeline and distributed executors share one
+// block visit (Config.VisitBlocks) with a per-box op: the visit owns
+// the order in which a block's clipped boxes run, and cuts a block
+// whose step box outgrows the caller's per-array budget into
+// time-skewed tiles (see visit.go). Plain, masked and pipeline runs
+// also share one region loop (stencilRun.run); a fused pipeline's box
+// op runs all its stages on one tile-step box (see pipeline.go).
 //
 // # Geometry in one paragraph
 //

@@ -53,9 +53,9 @@ func (a *runArgs) schedule(n, slopes []int) (*Config, []Region, int, error) {
 	return a.cfg, a.cfg.Regions(a.steps), a.steps, nil
 }
 
-// stencilRun is one run of a single-stage spec, plain or masked: the
-// validated schedule, the grid layout, the optional mask and the
-// kernel resolved for the run.
+// stencilRun is one run of a single-stage spec or a fused pipeline,
+// plain or masked: the validated schedule, the grid layout, the
+// optional mask, the tile budget and the box op's resolved kernels.
 type stencilRun struct {
 	cfg       *Config
 	regions   []Region
@@ -65,19 +65,21 @@ type stencilRun struct {
 	d         int
 	h, stride [3]int // zero past d
 	path      stencil.Path
+	budget    int // per-array tile budget of VisitBlocks
 	bufs      *[2][]float64
 	pb        int // buffer parity: current values live in bufs[pb]
+	pool      *par.Pool
 	// The kernel of the run's dimension, resolved on its tier.
 	k1 stencil.Kernel1DBlock
 	k2 stencil.Kernel2DBlock
 	k3 stencil.Kernel3DBlock
+	// pipe, when set, makes the box op a fused pipeline visit.
+	pipe *pipeRun
 }
 
 // newStencilRun validates a run of spec s, which has a kernel of its
 // dimension when hasKernel is set, on a grid of extents n and halos h
-// whose buffer strides are stride, and samples the run's kernel path:
-// once per run, so a concurrent SetKernelPath cannot mix dispatch
-// shapes within a run.
+// whose buffer strides are stride.
 func newStencilRun(a runArgs, s *stencil.Spec, hasKernel bool, n, h []int, stride [3]int) (*stencilRun, error) {
 	d := len(n)
 	if s.Dims != d || !hasKernel {
@@ -92,7 +94,15 @@ func newStencilRun(a runArgs, s *stencil.Spec, hasKernel bool, n, h []int, strid
 		}
 		return nil, fmt.Errorf("core: grid halo (%s) < slopes %v", strings.Trim(strings.ReplaceAll(fmt.Sprint(h), " ", ","), "[]"), s.Slopes)
 	}
-	cfg, regions, steps, err := a.schedule(n, s.Slopes)
+	return a.newRun(n, h, s.Slopes, stride, TileBytes)
+}
+
+// newRun validates the run's schedule against the grid extents n and
+// the slopes, and its mask, and samples the run's kernel path: once
+// per run, so a concurrent SetKernelPath cannot mix dispatch shapes
+// within a run.
+func (a *runArgs) newRun(n, h, slopes []int, stride [3]int, budget int) (*stencilRun, error) {
+	cfg, regions, steps, err := a.schedule(n, slopes)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +111,7 @@ func newStencilRun(a runArgs, s *stencil.Spec, hasKernel bool, n, h []int, strid
 			return nil, err
 		}
 	}
-	sr := &stencilRun{cfg: cfg, regions: regions, steps: steps, stop: a.stop, m: a.m, d: d, stride: stride, path: RunPath()}
+	sr := &stencilRun{cfg: cfg, regions: regions, steps: steps, stop: a.stop, m: a.m, d: len(n), stride: stride, path: RunPath(), budget: budget}
 	copy(sr.h[:], h)
 	return sr, nil
 }
@@ -196,7 +206,7 @@ func run3D(g *grid.Grid3D, s *stencil.Spec, pool *par.Pool, a runArgs) error {
 // when the run completes. Each dispatch group's boxes come from the
 // shared block visit (VisitBlocks).
 func (sr *stencilRun) run(bufs *[2][]float64, step *int, pool *par.Pool) error {
-	sr.bufs, sr.pb = bufs, *step&1
+	sr.bufs, sr.pb, sr.pool = bufs, *step&1, pool
 	for ri := range sr.regions {
 		if stopped(sr.stop) {
 			return ErrStopped
@@ -207,15 +217,17 @@ func (sr *stencilRun) run(bufs *[2][]float64, step *int, pool *par.Pool) error {
 			var c visitCounts
 			b0, b1 := r.Span(gi)
 			var box Box
-			sr.cfg.VisitBlocks(r, b0, b1, &box, func(t int) {
-				if sr.m != nil {
+			sr.cfg.VisitBlocks(r, b0, b1, sr.budget, &box, func(t int) {
+				switch {
+				case sr.pipe != nil:
+					sr.pipe.visit(wkr, t, &box.Lo, &box.Hi, &c)
+				case sr.m != nil:
 					sr.masked(t, &box.Lo, &box.Hi, &c)
-				} else {
+				default:
 					sr.kernel(t, &box.Lo, &box.Hi, &c)
 				}
 			})
-			sp.addPoints(wkr, c.pts)
-			sp.addKernelCalls(wkr, c.calls[stencil.PathRow], c.calls[stencil.PathBlock], c.calls[stencil.PathSIMD])
+			sp.add(wkr, &c)
 		})
 		sp.end(sr.cfg, r, ri)
 	}
@@ -339,16 +351,14 @@ func runND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, regions 
 			lo := make([]int, d)
 			hi := make([]int, d)
 			p := make([]int, d)
-			var pts, rows int64
+			var c visitCounts
 			for bi := b0; bi < b1; bi++ {
 				b := &r.Blocks[bi]
 				for t := r.T0; t < r.T1; t++ {
 					if !cfg.ClippedBounds(&r, b, t, lo, hi) {
 						continue
 					}
-					if sp != nil {
-						pts += boxVolume(lo, hi)
-					}
+					c.pts += boxVolume(lo, hi)
 					dst, src := g.Buf[(t+pb+1)&1], g.Buf[(t+pb)&1]
 					// The last dimension has unit stride, so hoist it out
 					// of the odometer: one ApplyRow per contiguous row
@@ -357,7 +367,7 @@ func runND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, regions 
 					copy(p, lo)
 					for {
 						gs.ApplyRow(dst, src, g.Idx(p), n, flat)
-						rows++
+						c.calls[stencil.PathRow]++
 						k := d - 2
 						for ; k >= 0; k-- {
 							p[k]++
@@ -372,8 +382,7 @@ func runND(g *grid.NDGrid, gs *stencil.Generic, steps int, cfg *Config, regions 
 					}
 				}
 			}
-			sp.addPoints(wkr, pts)
-			sp.addKernelCalls(wkr, rows, 0, 0)
+			sp.add(wkr, &c)
 		})
 		sp.end(cfg, &r, ri)
 	}

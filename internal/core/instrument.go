@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tessellate/internal/stencil"
 	"tessellate/internal/telemetry"
 )
 
@@ -25,34 +26,38 @@ func beginRegion() *regionSpan {
 	return &regionSpan{start: time.Now()}
 }
 
-// addPoints accumulates point updates; safe for concurrent block
-// closures and on a nil span. worker is the pool worker id running the
-// closure: the global points counter is sharded per worker so the hot
-// path never bounces a shared cache line between cores.
-func (sp *regionSpan) addPoints(worker int, n int64) {
-	if sp == nil {
-		return
-	}
-	atomic.AddInt64(&sp.points, n)
-	telemetry.PointsUpdated.Add(worker, uint64(n))
+// visitCounts accumulates one worker's counts over a dispatch group.
+type visitCounts struct {
+	pts    int64
+	calls  [3]int64 // kernel and blend calls by stencil.Path
+	recomp int64    // pipeline intermediate points beyond the useful ones
 }
 
-// addKernelCalls accumulates kernel invocation counts by dispatch
-// path; safe on a nil span. Like addPoints it is sharded per pool
-// worker so block closures never contend on a shared cache line.
-func (sp *regionSpan) addKernelCalls(worker int, row, block, simd int64) {
+// add records a dispatch group's counts; safe for concurrent block
+// closures and on a nil span. worker is the pool worker id running the
+// closure: the global counters are sharded per worker so the hot path
+// never bounces a shared cache line between cores.
+func (sp *regionSpan) add(worker int, c *visitCounts) {
 	if sp == nil {
 		return
 	}
-	if row > 0 {
-		telemetry.KernelCallsRow.Add(worker, uint64(row))
+	atomic.AddInt64(&sp.points, c.pts)
+	telemetry.PointsUpdated.Add(worker, uint64(c.pts))
+	for path, n := range c.calls {
+		if n > 0 {
+			kernelCalls[path].Add(worker, uint64(n))
+		}
 	}
-	if block > 0 {
-		telemetry.KernelCallsBlock.Add(worker, uint64(block))
+	if c.recomp > 0 {
+		telemetry.PipelineRecomputedPoints.Add(worker, uint64(c.recomp))
 	}
-	if simd > 0 {
-		telemetry.KernelCallsSIMD.Add(worker, uint64(simd))
-	}
+}
+
+// kernelCalls are the kernel-call counters by stencil.Path.
+var kernelCalls = [3]*telemetry.ShardedCounter{
+	stencil.PathRow:   telemetry.KernelCallsRow,
+	stencil.PathBlock: telemetry.KernelCallsBlock,
+	stencil.PathSIMD:  telemetry.KernelCallsSIMD,
 }
 
 // end records the region's metrics and trace event. index is the

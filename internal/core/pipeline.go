@@ -11,51 +11,53 @@ import (
 
 // Pipeline execution. A stencil.Pipeline's logical time step is a
 // chain of atomic stages; the executors fuse the whole chain into
-// each block visit of the tessellation schedule, built for the
-// pipeline's COMPOUND slope (the per-dimension sum of stage slopes).
+// each box of the shared block visit (VisitBlocks), whose schedule and
+// tiles are built for the pipeline's COMPOUND slope (the
+// per-dimension sum of stage slopes): a pipeline run is a stencilRun
+// whose box op runs every stage of one tile-step box.
 //
-// Geometry: let F be the box a single-stage schedule of the compound
-// slope would write at this visit (Config.Bounds), and grow[i] the sum
-// of the slopes of every stage after i (Pipeline.SuffixSlopes). Stage
-// i's box is F inflated by grow[i] per side, clipped to the domain:
+// Geometry: let F be the clipped box the visit hands the op — the box
+// a single-stage schedule of the compound slope writes at that step,
+// cut to its tile — and grow[i] the sum of the slopes of every stage
+// after i (Pipeline.SuffixSlopes). Stage i's box is F inflated by
+// grow[i] per side, clipped to the domain:
 //
 //   - the final stage (grow = 0) writes exactly F — the schedule's
 //     proven exactly-once write set (Theorem 3.5);
 //   - stage i's reads of stage j's output (j < i) fall inside stage
 //     j's box or the halo beyond the domain, so intermediates never
-//     cross visits;
+//     cross boxes;
 //   - stage reads of the state land on F+grow[0] ⊆ the single-stage
-//     read footprint of the compound slope, whose availability is the
-//     schedule's proven correctness condition.
+//     read footprint of the compound slope, and PrevState is read
+//     pointwise by the final blend only (Validate), so on the state
+//     buffers the op is one stage of the compound slope and the
+//     visit's dependence argument holds unchanged.
 //
-// Strip order: a visit walks its boxes along dimension 0 (rows in 2D,
-// x-planes in 3D, points in 1D) in strips of a fixed height sized to
-// L2. At each strip cut c, stage i advances to c+grow[i] (clipped to
-// its box), which is exactly as far as the rows its producers have
-// finished allow — so every stage consumes its producers' rows while
-// they are still in cache. Each value remains the same pure function
-// of the same inputs, so the order is bitwise safe; PrevState is read
-// pointwise by the final blend only (Validate), so it is still read
-// before its own write.
+// Tiles: a block whose step box outgrows pipeTileBytes per array runs
+// as the visit's time-skewed tiles, so a tile's state, intermediates
+// and output stay in a private cache across the block's steps. Each
+// tile-step box recomputes its own overlap rings (stage i's box
+// exceeds F by grow[i]); tess_pipeline_recomputed_points_total counts
+// them.
 //
 // Windows: intermediates live in block windows — one per worker and
 // intermediate, owned by the par.Pool and reused across runs. A window
-// spans stage 0's box in dimension 0 plus the grid halo on each side,
-// times the plane stride. Every stage slot is rebased by the same
-// offset (buf[off:], base-off), so the stencil kernels run unmodified
-// with grid strides. That needs every stencil stage Relocatable: a
-// kernel that reads data of its own by the flat index (a coefficient
-// field laid out like the grid) must see absolute indices, so for such
-// pipelines each window spans the whole grid buffer at offset 0, still
-// allocated once per pool.
+// spans stage 0's box in dimension 0 (at most the tile width plus
+// 2*grow[0]) plus the grid halo on each side, times the plane stride.
+// Every stage slot is rebased by the same offset (buf[off:], base-off),
+// so the stencil kernels run unmodified with grid strides. That needs
+// every stencil stage Relocatable: a kernel that reads data of its own
+// by the flat index (a coefficient field laid out like the grid) must
+// see absolute indices, so for such pipelines each window spans the
+// whole grid buffer at offset 0, still allocated once per pool.
 //
 // Invariant: on every cell a later stage may read, the window holds
 // what the naive oracle's full-grid intermediate holds there — the
 // stage's value on active cells, TmpHalo elsewhere.
-// A visit therefore writes TmpHalo into the inactive runs and empty
+// A box therefore writes TmpHalo into the inactive runs and empty
 // sub-boxes of an intermediate stage's box that a later stencil stage
 // can reach (see rad) and into the out-of-domain dimension-0 rows a
-// boundary visit exposes; the halo columns of the other dimensions
+// boundary box exposes; the halo columns of the other dimensions
 // are never written and are filled once, when the window is allocated
 // or the TmpHalo or grid layout changes.
 //
@@ -64,26 +66,18 @@ import (
 // the overlap rings are recomputed instead of communicated, the
 // standard trade of overlapped temporal blocking.
 
-// stripBytes is the per-array footprint of one strip: with the state,
-// the intermediates and the output each holding a strip plus its
-// rings, a visit's live rows stay in a private L2.
-const stripBytes = 128 << 10
+// pipeTileBytes is the per-array tile budget of a pipeline run: with
+// the state, the intermediates and the output each holding a tile step
+// box plus its rings, a tile's live data stays in a private L2.
+const pipeTileBytes = 128 << 10
 
-// stripOverride, when positive, replaces the strip height: a test seam
-// that lands strip cuts inside the boxes of small grids.
-var stripOverride int
-
-// pipeRun is one fused pipeline run: the resolved stages, the grid
-// layout and the strip height, shared by every block visit.
+// pipeRun is what a fused pipeline run adds to its stencilRun: the
+// resolved stages, shared by every box.
 type pipeRun struct {
-	p      *stencil.Pipeline
-	cfg    *Config
-	m      *grid.Mask
-	d, nst int
-	grow   [][]int
-	h      [3]int // grid halo per dimension
-	stride [3]int // buffer stride per dimension; stride[d-1] == 1
-	strip  int
+	*stencilRun
+	p    *stencil.Pipeline
+	nst  int
+	grow [][]int
 	// reloc: every stencil stage is Relocatable, so the windows follow
 	// stage 0's box; otherwise they span the whole grid buffer and the
 	// kernels see the absolute flat indices.
@@ -92,8 +86,7 @@ type pipeRun struct {
 	// of a later stencil stage reading it. Only its inactive cells
 	// within rad of an active cell can be read, so an intermediate read
 	// pointwise alone (rad 0) needs no TmpHalo writes at all.
-	rad  [][3]int
-	path stencil.Path
+	rad [][3]int
 	// box runs stencil stage i's kernel on the box of extent ext whose
 	// first point is buffer index base (the per-dimension box op).
 	box   func(i int, out, in []float64, base int, ext [3]int)
@@ -108,12 +101,6 @@ type pipeRun struct {
 type windowTag struct {
 	halo      uint64
 	h, stride [3]int
-}
-
-// visitCounts accumulates one worker's telemetry over a region.
-type visitCounts struct {
-	pts   int64
-	calls [3]int64 // kernel and blend calls by stencil.Path
 }
 
 // pipeSlots are a visit's stage buffers, rebased by off.
@@ -134,9 +121,10 @@ func (s *pipeSlots) pick(slot int) []float64 {
 	return s.win[slot-1]
 }
 
-// newPipeRun validates a run's arguments against the grid extents n and
-// halos h and prepares everything but the per-dimension box op.
-func newPipeRun(p *stencil.Pipeline, cfg *Config, m *grid.Mask, n []int, h, stride [3]int) (*pipeRun, error) {
+// newPipeRun validates a run of steps logical steps against the grid
+// extents n and halos h and prepares everything but the per-dimension
+// box op.
+func newPipeRun(p *stencil.Pipeline, steps int, cfg *Config, m *grid.Mask, n []int, h, stride [3]int) (*pipeRun, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,17 +138,15 @@ func newPipeRun(p *stencil.Pipeline, cfg *Config, m *grid.Mask, n []int, h, stri
 			return nil, fmt.Errorf("core: grid halo %v < compound slopes %v", append([]int(nil), h[:d]...), slopes)
 		}
 	}
-	if err := checkConfig(cfg, n, slopes); err != nil {
+	a := runArgs{cfg: cfg, steps: steps, m: m, masked: m != nil}
+	sr, err := a.newRun(n, h[:d], slopes, stride, pipeTileBytes)
+	if err != nil {
 		return nil, err
 	}
-	if m != nil {
-		if err := checkMask(m, n); err != nil {
-			return nil, err
-		}
-	}
-	pr := &pipeRun{p: p, cfg: cfg, m: m, d: d, nst: len(p.Stages), grow: p.SuffixSlopes(),
-		h: h, stride: stride, path: RunPath(), kpath: make([]stencil.Path, len(p.Stages)),
-		tag: windowTag{halo: math.Float64bits(p.TmpHalo), h: h, stride: stride}}
+	pr := &pipeRun{stencilRun: sr, p: p, nst: len(p.Stages), grow: p.SuffixSlopes(),
+		kpath: make([]stencil.Path, len(p.Stages)),
+		tag:   windowTag{halo: math.Float64bits(p.TmpHalo), h: h, stride: stride}}
+	sr.pipe = pr
 	pr.blend, pr.bpath = stencil.ResolveBlend(pr.path)
 	pr.rad, pr.reloc = make([][3]int, pr.nst), true
 	for _, st := range p.Stages {
@@ -173,23 +159,16 @@ func newPipeRun(p *stencil.Pipeline, cfg *Config, m *grid.Mask, n []int, h, stri
 			}
 		}
 	}
-	cross := 1
-	for k := 1; k < d; k++ {
-		cross *= min(cfg.Big[k], n[k])
-	}
-	pr.strip = max(1, stripBytes/(8*cross))
-	if stripOverride > 0 {
-		pr.strip = stripOverride
-	}
 	return pr, nil
 }
 
 // RunPipeline1D advances a 1D grid by steps logical time steps of the
-// pipeline, fusing all stages inside each block visit. The grid halo
-// and cfg.Slopes must match the pipeline's compound slope. A non-nil
-// mask restricts every stage to its active points (see RunMasked1D).
+// pipeline, fusing all stages inside each box of the block visit. The
+// grid halo and cfg.Slopes must match the pipeline's compound slope. A
+// non-nil mask restricts every stage to its active points (see
+// RunMasked1D).
 func RunPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	pr, err := newPipeRun(p, cfg, m, []int{g.N}, [3]int{g.H}, [3]int{1})
+	pr, err := newPipeRun(p, steps, cfg, m, []int{g.N}, [3]int{g.H}, [3]int{1})
 	if err != nil {
 		return err
 	}
@@ -200,15 +179,13 @@ func RunPipeline1D(g *grid.Grid1D, p *stencil.Pipeline, steps int, cfg *Config, 
 		}
 	}
 	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, base+e[0]) }
-	pr.run(&g.Buf, g.Step, steps, pool)
-	g.Step += steps
-	return nil
+	return pr.run(&g.Buf, &g.Step, pool)
 }
 
 // RunPipeline2D advances a 2D grid by steps logical time steps of the
 // pipeline (see RunPipeline1D).
 func RunPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	pr, err := newPipeRun(p, cfg, m, []int{g.NX, g.NY}, [3]int{g.HX, g.HY}, [3]int{g.SY, 1})
+	pr, err := newPipeRun(p, steps, cfg, m, []int{g.NX, g.NY}, [3]int{g.HX, g.HY}, [3]int{g.SY, 1})
 	if err != nil {
 		return err
 	}
@@ -220,15 +197,13 @@ func RunPipeline2D(g *grid.Grid2D, p *stencil.Pipeline, steps int, cfg *Config, 
 	}
 	sy := g.SY
 	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, e[0], e[1], sy) }
-	pr.run(&g.Buf, g.Step, steps, pool)
-	g.Step += steps
-	return nil
+	return pr.run(&g.Buf, &g.Step, pool)
 }
 
 // RunPipeline3D advances a 3D grid by steps logical time steps of the
 // pipeline (see RunPipeline1D).
 func RunPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, pool *par.Pool, m *grid.Mask) error {
-	pr, err := newPipeRun(p, cfg, m, []int{g.NX, g.NY, g.NZ}, [3]int{g.HX, g.HY, g.HZ}, [3]int{g.SX, g.SY, 1})
+	pr, err := newPipeRun(p, steps, cfg, m, []int{g.NX, g.NY, g.NZ}, [3]int{g.HX, g.HY, g.HZ}, [3]int{g.SX, g.SY, 1})
 	if err != nil {
 		return err
 	}
@@ -240,37 +215,10 @@ func RunPipeline3D(g *grid.Grid3D, p *stencil.Pipeline, steps int, cfg *Config, 
 	}
 	sy, sx := g.SY, g.SX
 	pr.box = func(i int, out, in []float64, base int, e [3]int) { kern[i](out, in, base, e[0], e[1], e[2], sy, sx) }
-	pr.run(&g.Buf, g.Step, steps, pool)
-	g.Step += steps
-	return nil
+	return pr.run(&g.Buf, &g.Step, pool)
 }
 
-// run executes the schedule for steps time steps from time level step.
-func (pr *pipeRun) run(bufs *[2][]float64, step, steps int, pool *par.Pool) {
-	pb := step & 1
-	regions := pr.cfg.Regions(steps)
-	for ri := range regions {
-		r := &regions[ri]
-		sp := beginRegion()
-		pool.ForSticky(r.Tasks(), func(gi, wkr int) {
-			var c visitCounts
-			var flo, fhi [3]int
-			b0, b1 := r.Span(gi)
-			for t := r.T0; t < r.T1; t++ {
-				dst, src := bufs[(t+pb+1)&1], bufs[(t+pb)&1]
-				for bi := b0; bi < b1; bi++ {
-					pr.cfg.Bounds(r, &r.Blocks[bi], t, flo[:pr.d], fhi[:pr.d])
-					pr.visit(pool, wkr, src, dst, &flo, &fhi, &c)
-				}
-			}
-			sp.addPoints(wkr, c.pts)
-			sp.addKernelCalls(wkr, c.calls[stencil.PathRow], c.calls[stencil.PathBlock], c.calls[stencil.PathSIMD])
-		})
-		sp.end(pr.cfg, r, ri)
-	}
-}
-
-// stageBox sets [lo, hi) to stage i's box at a visit whose final box is
+// stageBox sets [lo, hi) to stage i's box for the final box
 // [flo, fhi): F grown by grow[i], clipped to the domain.
 func (pr *pipeRun) stageBox(i int, flo, fhi, lo, hi *[3]int) {
 	for k := 0; k < pr.d; k++ {
@@ -279,25 +227,21 @@ func (pr *pipeRun) stageBox(i int, flo, fhi, lo, hi *[3]int) {
 	}
 }
 
-// visit runs every stage of one block visit with final box [flo, fhi),
-// strip by strip, in worker wkr's windows.
-func (pr *pipeRun) visit(pool *par.Pool, wkr int, src, dst []float64, flo, fhi *[3]int, c *visitCounts) {
+// visit runs every stage of one tile-step box — the non-empty final
+// box [lo, hi) at step t — in worker wkr's windows.
+func (pr *pipeRun) visit(wkr, t int, lo, hi *[3]int, c *visitCounts) {
 	d, n := pr.d, pr.cfg.N
-	lo, hi := *flo, *fhi
-	if !ClipBox(lo[:d], hi[:d], n) {
-		return
-	}
+	final := boxVolume(lo[:d], hi[:d])
 	if pr.m != nil {
-		k := pr.m.CountBox(lo[:d], hi[:d])
-		if k == 0 {
+		if final = int64(pr.m.CountBox(lo[:d], hi[:d])); final == 0 {
 			return
 		}
-		c.pts += int64(k)
-	} else {
-		c.pts += boxVolume(lo[:d], hi[:d])
 	}
+	c.pts += final
+	c.recomp -= int64(pr.nst-1) * final // apply adds every intermediate point
+	src, dst := pr.bufs[(t+pr.pb)&1], pr.bufs[(t+pr.pb+1)&1]
 	var l, u [3]int
-	pr.stageBox(0, flo, fhi, &l, &u)
+	pr.stageBox(0, lo, hi, &l, &u)
 	h0, plane := pr.h[0], pr.stride[0]
 	base, size := -h0, len(src) // domain row of window row 0; length
 	if pr.reloc {
@@ -306,7 +250,7 @@ func (pr *pipeRun) visit(pool *par.Pool, wkr int, src, dst []float64, flo, fhi *
 	sl := pipeSlots{off: (base + h0) * plane}
 	sl.src, sl.dst = src[sl.off:], dst[sl.off:]
 	if pr.nst > 1 {
-		s := pool.Scratch(wkr, pr.nst-1, size)
+		s := pr.pool.Scratch(wkr, pr.nst-1, size)
 		if s.Tag != pr.tag {
 			for _, b := range s.Bufs {
 				fill(b, pr.p.TmpHalo)
@@ -315,8 +259,8 @@ func (pr *pipeRun) visit(pool *par.Pool, wkr int, src, dst []float64, flo, fhi *
 		}
 		sl.win = s.Bufs[:pr.nst-1]
 		// Window row r is domain row base+r. Rows below h0 lie under
-		// every visit's boxes and keep their TmpHalo; the rows past the
-		// domain's end may hold another visit's values.
+		// every box's stages and keep their TmpHalo; the rows past the
+		// domain's end may hold another box's values.
 		top := (n[0] - base) * plane
 		for j := range sl.win {
 			if pr.rad[j][0] > 0 && u[0] == n[0] {
@@ -324,26 +268,9 @@ func (pr *pipeRun) visit(pool *par.Pool, wkr int, src, dst []float64, flo, fhi *
 			}
 		}
 	}
-	for cut, first := lo[0], true; ; first = false {
-		prev := cut
-		cut += pr.strip
-		last := cut >= hi[0]
-		for i := 0; i < pr.nst; i++ {
-			pr.stageBox(i, flo, fhi, &l, &u)
-			g := pr.grow[i][0]
-			if !first {
-				l[0] = max(l[0], prev+g)
-			}
-			if !last {
-				u[0] = min(u[0], cut+g)
-			}
-			if l[0] < u[0] {
-				pr.stage(i, &sl, &l, &u, c)
-			}
-		}
-		if last {
-			return
-		}
+	for i := 0; i < pr.nst; i++ {
+		pr.stageBox(i, lo, hi, &l, &u)
+		pr.stage(i, &sl, &l, &u, c)
 	}
 }
 
@@ -413,6 +340,9 @@ func (pr *pipeRun) apply(i int, sl *pipeSlots, lo, hi *[3]int, c *visitCounts) {
 		if k < pr.d-1 {
 			rows *= int64(ext[k])
 		}
+	}
+	if i < pr.nst-1 {
+		c.recomp += rows * int64(ext[pr.d-1])
 	}
 	if st.Spec != nil {
 		pr.box(i, out, sl.pick(st.In), pr.idx(lo)-sl.off, ext)

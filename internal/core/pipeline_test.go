@@ -237,9 +237,19 @@ func TestRunPipelineRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// randomPipeline1D derives a small valid 1D pipeline from fuzz bytes.
-func randomPipeline1D(rng *rand.Rand) *stencil.Pipeline {
-	specs := []*stencil.Spec{stencil.Heat1D, stencil.P1D5}
+// fuzzSpecs are the stencil stages FuzzPipelineGeometry draws from,
+// by dimension.
+var fuzzSpecs = [...][]*stencil.Spec{
+	1: {stencil.Heat1D, stencil.P1D5},
+	2: {stencil.Heat2D, stencil.Box2D9, react2D},
+	3: {stencil.Heat3D, stencil.Box3D27},
+}
+
+// randomPipeline derives a small valid d-dimensional pipeline from fuzz
+// bytes: stencil stages, blends and sometimes a final blend reading
+// the previous state.
+func randomPipeline(rng *rand.Rand, d int) *stencil.Pipeline {
+	specs := fuzzSpecs[d]
 	n := 1 + rng.Intn(3)
 	p := &stencil.Pipeline{Name: "fuzz", TmpHalo: rng.Float64()}
 	for i := 0; i < n; i++ {
@@ -250,7 +260,7 @@ func randomPipeline1D(rng *rand.Rand) *stencil.Pipeline {
 			})
 			continue
 		}
-		p.Stages = append(p.Stages, stencil.Stage{Spec: specs[rng.Intn(2)], In: rng.Intn(i + 1)})
+		p.Stages = append(p.Stages, stencil.Stage{Spec: specs[rng.Intn(len(specs))], In: rng.Intn(i + 1)})
 	}
 	// Sometimes rewire the final blend to read the previous state.
 	if last := &p.Stages[len(p.Stages)-1]; last.Spec == nil && rng.Intn(2) == 0 {
@@ -260,40 +270,28 @@ func randomPipeline1D(rng *rand.Rand) *stencil.Pipeline {
 	return p
 }
 
-// randomMask1D carves a random subset of [0, n) out of an all-active
-// mask, biased to keep runs (and sometimes returns nil: unmasked).
-func randomMask1D(n int, rng *rand.Rand) *grid.Mask {
+// randomPipelineMask returns nil (unmasked), a named mask or random
+// holes carved out of an all-active mask of extents n.
+func randomPipelineMask(n []int, rng *rand.Rand) *grid.Mask {
 	switch rng.Intn(3) {
 	case 0:
 		return nil
 	case 1:
-		m, _ := grid.NamedMask([]string{"lshape", "obstacle"}[rng.Intn(2)], []int{n})
+		m, _ := grid.NamedMask([]string{"lshape", "obstacle"}[rng.Intn(2)], n)
 		return m
 	}
-	m := grid.NewMask([]int{n})
-	for holes := 1 + rng.Intn(3); holes > 0; holes-- {
-		a := rng.Intn(n)
-		b := a + 1 + rng.Intn(4)
-		if b > n {
-			b = n
-		}
-		for x := a; x < b; x++ {
-			m.Set(false, x)
-		}
-	}
-	m.Finalize()
-	return m
+	return randomMask(n, rng)
 }
 
 // FuzzPipelineGeometry drives the fused pipeline executor through
-// random geometries, stage chains and mask shapes on small 1D grids,
-// asserting two properties per input:
+// random 1D, 2D and 3D geometries, stage chains and mask shapes on
+// small grids, asserting two properties per input:
 //
 //  1. the tessellated result is bitwise equal to the naive multi-stage
-//     reference (masked or not) at strip heights 1, 2, 3 and the
-//     default, so strip cuts land inside the boxes; each height runs
-//     twice on the same pool, the second run inheriting the windows the
-//     first (and every earlier input) left behind, and
+//     reference (masked or not) at tile widths 1, 2, 3 and the default
+//     budget, so time-skewed tile cuts land inside the blocks; each
+//     width runs twice on the same pool, the second run inheriting the
+//     windows the first (and every earlier input) left behind, and
 //  2. the schedule's clipped final boxes cover the active set exactly
 //     once per step (the masked form of Theorem 3.5):
 //     sum over visits of CountBox == ActiveCount * steps.
@@ -302,62 +300,99 @@ func FuzzPipelineGeometry(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(7777))
 	f.Add(int64(-3))
+	f.Add(int64(5))
+	f.Add(int64(12))
 	pool := par.NewPool(3)
 	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomPipeline1D(rng)
+		d := 1 + rng.Intn(3)
+		p := randomPipeline(rng, d)
 		if p.Validate() != nil {
 			t.Skip("invalid pipeline shape")
 		}
-		slope := p.Slopes()[0]
+		sl := p.Slopes()
 		bt := 1 + rng.Intn(3)
-		minBig := 2 * bt * slope
-		cfg := Config{
-			N:      []int{8 + rng.Intn(50)},
-			Slopes: []int{slope},
-			BT:     bt,
-			Big:    []int{minBig + rng.Intn(minBig+3)},
-			Merge:  rng.Intn(2) == 0,
+		cfg := Config{N: make([]int, d), Slopes: sl, BT: bt, Big: make([]int, d), Merge: rng.Intn(2) == 0}
+		span := [...][2]int{1: {8, 50}, 2: {6, 20}, 3: {5, 9}}[d] // extents span[0] + [0, span[1])
+		for k := range sl {
+			minBig := 2 * bt * sl[k]
+			cfg.Big[k] = minBig + rng.Intn(minBig+3)
+			cfg.N[k] = span[0] + rng.Intn(span[1])
 		}
 		if cfg.Validate() != nil {
 			t.Skip("invalid config")
 		}
-		m := randomMask1D(cfg.N[0], rng)
+		m := randomPipelineMask(cfg.N, rng)
 		steps := 1 + rng.Intn(3*bt+2)
 		if rng.Intn(2) == 0 {
 			p = absolute(p) // grid-sized scratch, absolute indices
 		}
 
-		g := grid.NewGrid1D(cfg.N[0], slope)
-		fill1D(g, seed)
-		ref := g.Clone()
-		if err := naive.RunPipeline1D(ref, p, steps, nil, m); err != nil {
-			t.Fatal(err)
-		}
-		defer func() { stripOverride = 0 }()
-		for _, strip := range []int{1, 2, 3, 0} {
-			stripOverride = strip
-			for run := 0; run < 2; run++ {
+		var run func() (verify.Result, error)
+		switch d {
+		case 1:
+			g := grid.NewGrid1D(cfg.N[0], sl[0])
+			fill1D(g, seed)
+			ref := g.Clone()
+			if err := naive.RunPipeline1D(ref, p, steps, nil, m); err != nil {
+				t.Fatal(err)
+			}
+			run = func() (verify.Result, error) {
 				got := g.Clone()
-				if err := RunPipeline1D(got, p, steps, &cfg, pool, m); err != nil {
+				err := RunPipeline1D(got, p, steps, &cfg, pool, m)
+				return verify.Grids1D(got, ref), err
+			}
+		case 2:
+			g := grid.NewGrid2D(cfg.N[0], cfg.N[1], sl[0], sl[1])
+			fill2D(g, seed)
+			ref := g.Clone()
+			if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
+				t.Fatal(err)
+			}
+			run = func() (verify.Result, error) {
+				got := g.Clone()
+				err := RunPipeline2D(got, p, steps, &cfg, pool, m)
+				return verify.Grids2D(got, ref), err
+			}
+		case 3:
+			g := grid.NewGrid3D(cfg.N[0], cfg.N[1], cfg.N[2], sl[0], sl[1], sl[2])
+			fill3D(g, seed)
+			ref := g.Clone()
+			if err := naive.RunPipeline3D(ref, p, steps, nil, m); err != nil {
+				t.Fatal(err)
+			}
+			run = func() (verify.Result, error) {
+				got := g.Clone()
+				err := RunPipeline3D(got, p, steps, &cfg, pool, m)
+				return verify.Grids3D(got, ref), err
+			}
+		}
+		defer func(old int) { tileOverride = old }(tileOverride)
+		for _, width := range []int{1, 2, 3, 0} {
+			tileOverride = width
+			for again := 0; again < 2; again++ {
+				r, err := run()
+				if err != nil {
 					t.Fatalf("cfg=%+v: %v", cfg, err)
 				}
-				if r := verify.Grids1D(got, ref); !r.Equal {
-					t.Fatalf("cfg=%+v steps=%d masked=%v strip=%d run=%d: %v",
-						cfg, steps, m != nil, strip, run, r.Error("fuzz-pipeline"))
+				if !r.Equal {
+					t.Fatalf("%s cfg=%+v steps=%d masked=%v width=%d run=%d: %v",
+						p.Name, cfg, steps, m != nil, width, again, r.Error("fuzz-pipeline"))
 				}
 			}
 		}
 
 		// Exactly-once coverage of the active set.
-		active := cfg.N[0]
-		if m != nil {
-			active = m.ActiveCount()
+		active := int64(1)
+		for _, nk := range cfg.N {
+			active *= int64(nk)
 		}
-		lo := make([]int, 1)
-		hi := make([]int, 1)
-		covered := 0
+		if m != nil {
+			active = int64(m.ActiveCount())
+		}
+		lo, hi := make([]int, d), make([]int, d)
+		covered := int64(0)
 		for _, r := range cfg.Regions(steps) {
 			for bi := range r.Blocks {
 				for tt := r.T0; tt < r.T1; tt++ {
@@ -365,15 +400,15 @@ func FuzzPipelineGeometry(f *testing.F) {
 						continue
 					}
 					if m != nil {
-						covered += m.CountBox(lo, hi)
+						covered += int64(m.CountBox(lo, hi))
 					} else {
-						covered += hi[0] - lo[0]
+						covered += boxVolume(lo, hi)
 					}
 				}
 			}
 		}
-		if covered != active*steps {
-			t.Fatalf("cfg=%+v steps=%d: covered %d active points, want %d", cfg, steps, covered, active*steps)
+		if covered != active*int64(steps) {
+			t.Fatalf("cfg=%+v steps=%d: covered %d active points, want %d", cfg, steps, covered, active*int64(steps))
 		}
 	})
 }

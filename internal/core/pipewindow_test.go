@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"tessellate/internal/grid"
@@ -133,8 +134,9 @@ func runAgainstNaive(t *testing.T, pool *par.Pool, rr reuseRun, seed int64) {
 
 // One pool runs mask A, no mask, mask B with another TmpHalo, then a
 // larger grid (and a shorter chain, so the pool holds more windows than
-// the run uses), in 1D, 2D and 3D, at the default strip height and at a
-// height that cuts every box: every run must match the oracle bitwise.
+// the run uses), in 1D, 2D and 3D, at the default tile budget and at a
+// forced tile width of 2 (1D never tiles): every run must match the
+// oracle bitwise.
 func TestPipelineScratchReuseAcrossRuns(t *testing.T) {
 	p1 := &stencil.Pipeline{Name: "p5-heat", Stages: []stencil.Stage{
 		{Spec: stencil.P1D5, In: 0},
@@ -178,14 +180,14 @@ func TestPipelineScratchReuseAcrossRuns(t *testing.T) {
 			{absolute(rk2ish(stencil.Heat3D)), []int{19, 17, 21}, "lshape"},
 		},
 	}
-	defer func() { stripOverride = 0 }()
+	defer func(old int) { tileOverride = old }(tileOverride)
 	for name, seq := range seqs {
 		t.Run(name, func(t *testing.T) {
-			for _, strip := range []int{0, 2} {
-				stripOverride = strip
+			for _, width := range []int{0, 2} {
+				tileOverride = width
 				pool := par.NewPool(2)
 				for i, rr := range seq {
-					runAgainstNaive(t, pool, rr, int64(10*i+strip))
+					runAgainstNaive(t, pool, rr, int64(10*i+width))
 				}
 				pool.Close()
 			}
@@ -199,7 +201,7 @@ func TestPipelineScratchReuseAcrossRuns(t *testing.T) {
 func TestRunPipelineIndexedKernelMatchesNaive(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	defer func() { stripOverride = 0 }()
+	defer func(old int) { tileOverride = old }(tileOverride)
 	kappa := func(length int) []float64 {
 		k := make([]float64, length)
 		for i := range k {
@@ -210,8 +212,8 @@ func TestRunPipelineIndexedKernelMatchesNaive(t *testing.T) {
 	n2, n3 := []int{33, 38}, []int{14, 13, 16}
 	vc2 := stencil.NewVarCoef2D(kappa((n2[0] + 4) * (n2[1] + 4)))
 	vc3 := stencil.NewVarCoef3D(kappa((n3[0] + 4) * (n3[1] + 4) * (n3[2] + 4)))
-	for _, strip := range []int{0, 2} {
-		stripOverride = strip
+	for _, width := range []int{0, 2} {
+		tileOverride = width
 		for i, rr := range []reuseRun{
 			{rk2ish(vc2), n2, ""},
 			{rk2ish(vc2), n2, "lshape"},
@@ -220,40 +222,26 @@ func TestRunPipelineIndexedKernelMatchesNaive(t *testing.T) {
 			}, TmpHalo: 0.4}, n2, "random"},
 			{rk2ish(vc3), n3, "obstacle"},
 		} {
-			runAgainstNaive(t, pool, rr, int64(i+strip))
+			runAgainstNaive(t, pool, rr, int64(i+width))
 		}
 	}
-}
-
-// windowRows returns the largest dimension-0 extent of stage 0's box
-// over every non-empty visit of the schedule, plus the halo on both
-// sides: the height of the tallest window a run can ask for.
-func windowRows(cfg *Config, steps, grow0, halo int) int {
-	lo, hi := make([]int, cfg.Dims()), make([]int, cfg.Dims())
-	rows := 0
-	for _, r := range cfg.Regions(steps) {
-		for bi := range r.Blocks {
-			for t := r.T0; t < r.T1; t++ {
-				if !cfg.ClippedBounds(&r, &r.Blocks[bi], t, lo, hi) {
-					continue
-				}
-				cfg.Bounds(&r, &r.Blocks[bi], t, lo, hi)
-				ext := min(hi[0]+grow0, cfg.N[0]) - max(lo[0]-grow0, 0)
-				rows = max(rows, ext+2*halo)
-			}
-		}
-	}
-	return rows
 }
 
 // The windows a pool holds are bounded by workers × intermediates ×
-// the tallest window × the plane stride, which for a 2048² RK2 run is a
-// fraction of one grid buffer; Close gives every byte back.
+// the tallest tile window × the plane stride: a tile's step box spans
+// at most W rows of dimension 0, stage 0's box W + 2·grow[0], and the
+// window adds the halo on each side. For a 2048² RK2 run (W = 32) on
+// two workers that is under a tenth of one grid buffer (38 of 2052
+// rows per window, four windows); Close gives every byte back.
 func TestPipelineScratchBytesBounded(t *testing.T) {
 	const n, steps, workers = 2048, 2, 2
 	p := rk2ish(stencil.Heat2D)
 	sl := p.Slopes()
 	cfg := DefaultConfig([]int{n, n}, sl)
+	w, tiled := cfg.tileWidth(pipeTileBytes)
+	if !tiled {
+		t.Fatalf("Big %v: pipeline blocks not tiled", cfg.Big)
+	}
 	g := grid.NewGrid2D(n, n, sl[0], sl[1])
 	fill2D(g, 4)
 	before := telemetry.PipelineScratchBytes.Value()
@@ -262,13 +250,14 @@ func TestPipelineScratchBytesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := telemetry.PipelineScratchBytes.Value() - before
-	bound := float64(workers * p.NumTmp() * windowRows(&cfg, steps, p.SuffixSlopes()[0][0], g.HX) * g.SY * 8)
+	rows := w + 2*p.SuffixSlopes()[0][0] + 2*g.HX
+	bound := float64(workers * p.NumTmp() * rows * g.SY * 8)
 	grid := float64(8 * len(g.Buf[0]))
 	if held <= 0 || held > bound {
-		t.Fatalf("scratch gauge grew by %v B; want in (0, %v]", held, bound)
+		t.Fatalf("scratch gauge grew by %v B; want in (0, %v] (%d-row windows)", held, bound, rows)
 	}
-	if held > 0.6*grid {
-		t.Fatalf("windows hold %v B, %.2f of one %v B grid buffer", held, held/grid, grid)
+	if held > 0.1*grid {
+		t.Fatalf("windows hold %v B, %.3f of one %v B grid buffer", held, held/grid, grid)
 	}
 	pool.Close()
 	if after := telemetry.PipelineScratchBytes.Value(); after != before {
@@ -366,6 +355,86 @@ func TestPipelineBlendCallsCounted(t *testing.T) {
 		}
 		if got := counters[tier].Value() - before; got != rows {
 			t.Fatalf("path %s: %d %v calls, want %d blend rows", path, got, tier, rows)
+		}
+	}
+}
+
+// countedRows2D returns a copy of s on the row tier alone whose row
+// kernel adds every point it updates to *pts.
+func countedRows2D(s *stencil.Spec, pts *atomic.Int64) *stencil.Spec {
+	c := *s
+	k := s.K2
+	c.B2, c.S2 = nil, nil
+	c.K2 = func(dst, src []float64, base, n, sy int) {
+		pts.Add(int64(n))
+		k(dst, src, base, n, sy)
+	}
+	return &c
+}
+
+// Every intermediate-stage point a fused run computes beyond active ×
+// steps per stage lands in tess_pipeline_recomputed_points_total. For
+// RK2 (two intermediate stencil stages, a final blend) the counter is
+// exactly the stencil points a kernel meter sees minus 2 × active ×
+// steps, and it is the ring grow[0] = 1 adds to stage 0's box around
+// every tile-step box that holds an active point, counted on the
+// active set.
+func TestPipelineRecomputedPointsCounted(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	defer func(old int) { tileOverride = old }(tileOverride)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	var pts atomic.Int64
+	p := rk2ish(countedRows2D(stencil.Heat2D, &pts))
+	sl := p.Slopes()
+	n := []int{29, 23}
+	const steps = 7
+	cfg := Config{N: n, Slopes: sl, BT: 2, Big: []int{18, 16}, Merge: true}
+	for _, width := range []int{3, 0} {
+		tileOverride = width
+		for _, name := range []string{"", "lshape"} {
+			active := int64(n[0] * n[1])
+			count := func(lo, hi []int) int64 { return boxVolume(lo, hi) }
+			var m *grid.Mask
+			if name != "" {
+				m, _ = grid.NamedMask(name, n)
+				active = int64(m.ActiveCount())
+				count = func(lo, hi []int) int64 { return int64(m.CountBox(lo, hi)) }
+			}
+			want := int64(0)
+			for _, r := range cfg.Regions(steps) {
+				for gi := 0; gi < r.Tasks(); gi++ {
+					b0, b1 := r.Span(gi)
+					var box Box
+					cfg.VisitBlocks(&r, b0, b1, pipeTileBytes, &box, func(int) {
+						final := count(box.Lo[:2], box.Hi[:2])
+						if final == 0 {
+							return // a box with no active point runs no stage
+						}
+						lo, hi := box.Lo, box.Hi
+						for k := range n {
+							lo[k], hi[k] = max(lo[k]-1, 0), min(hi[k]+1, n[k])
+						}
+						want += count(lo[:2], hi[:2]) - final
+					})
+				}
+			}
+			g := grid.NewGrid2D(n[0], n[1], sl[0], sl[1])
+			fill2D(g, 8)
+			before := telemetry.PipelineRecomputedPoints.Value()
+			pts.Store(0)
+			if err := RunPipeline2D(g, p, steps, &cfg, pool, m); err != nil {
+				t.Fatal(err)
+			}
+			got := int64(telemetry.PipelineRecomputedPoints.Value() - before)
+			if got != want || want == 0 {
+				t.Fatalf("width %d mask %q: %d recomputed points, want %d (> 0)", width, name, got, want)
+			}
+			if useful := 2 * active * steps; pts.Load()-useful != got {
+				t.Fatalf("width %d mask %q: kernels computed %d points, %d useful, counter %d",
+					width, name, pts.Load(), useful, got)
+			}
 		}
 	}
 }

@@ -68,11 +68,11 @@ func driveTiled(t *testing.T, r tiledRunner, cfg *core.Config, steps [2]int, mod
 }
 
 // TestTiledVisitMatchesNaive forces time-skewed tiles onto small grids
-// and checks the plain and masked 2D/3D executors and a 3D distributed
-// run bitwise against the naive oracle on every kernel tier, with the
-// exact Theorem-3.5 point count read from telemetry. The stencils
-// include the box ones (diagonal dependences); the step counts are not
-// multiples of BT, so diamond windows are clamped.
+// and checks the plain, masked and pipeline 2D/3D executors and a 3D
+// distributed run bitwise against the naive oracle on every kernel
+// tier, with the exact Theorem-3.5 point count read from telemetry.
+// The stencils include the box ones (diagonal dependences); the step
+// counts are not multiples of BT, so diamond windows are clamped.
 func TestTiledVisitMatchesNaive(t *testing.T) {
 	defer core.SetTileWidth(core.SetTileWidth(0))
 	defer core.SetKernelPath(core.KernelPath())
@@ -111,6 +111,142 @@ func TestTiledVisitMatchesNaive(t *testing.T) {
 				t.Fatalf("tier %s width %d", tier, width)
 			}
 		}
+		for _, width := range []int{1, 2, 3, 0} {
+			core.SetTileWidth(width)
+			for d, kernels := range tiledPipelineKernels() {
+				for _, ks := range kernels {
+					for _, p := range pipelineShapes(ks[0], ks[1]) {
+						for _, mask := range []string{"", "lshape", "obstacle", "random"} {
+							tiledPipeline(t, pool, d, p, mask, width)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tiledPipelineKernels returns, per dimension, the (first, second)
+// spec pairs of the pipeline rows: Relocatable stencils, whose windows
+// follow the box, and a variable-coefficient stencil that reads its
+// coefficient field by the absolute flat index, so its pipelines run
+// in grid-sized windows. The coefficient fields match tiledPipeline's
+// grids (halo 2).
+func tiledPipelineKernels() [4][][2]*stencil.Spec {
+	kappa := func(length int) []float64 {
+		k := make([]float64, length)
+		for i := range k {
+			k[i] = float64(i%5) / 4
+		}
+		return k
+	}
+	n2, n3 := tiledPipelineN[2], tiledPipelineN[3]
+	vc2 := stencil.NewVarCoef2D(kappa((n2[0] + 4) * (n2[1] + 4)))
+	vc3 := stencil.NewVarCoef3D(kappa((n3[0] + 4) * (n3[1] + 4) * (n3[2] + 4)))
+	return [4][][2]*stencil.Spec{
+		2: {{stencil.Heat2D, stencil.Box2D9}, {vc2, stencil.Heat2D}},
+		3: {{stencil.Heat3D, stencil.Box3D27}, {vc3, stencil.Heat3D}},
+	}
+}
+
+// tiledPipelineN are the grid extents of the pipeline rows.
+var tiledPipelineN = [4][]int{2: {29, 23}, 3: {15, 13, 11}}
+
+// pipelineShapes are the pipeline rows on specs s and s2: an SSP-RK2
+// stepper, an operator split through s2 and a leapfrog stepper whose
+// final blend reads the previous state.
+func pipelineShapes(s, s2 *stencil.Spec) []*stencil.Pipeline {
+	return []*stencil.Pipeline{
+		{Name: "rk2-" + s.Name, TmpHalo: 0.25, Stages: []stencil.Stage{
+			{Spec: s, In: 0}, {Spec: s, In: 1}, {A: 0.5, In: 0, B: 0.5, InB: 2},
+		}},
+		{Name: "split-" + s.Name + "-" + s2.Name, TmpHalo: 0.75, Stages: []stencil.Stage{
+			{Spec: s, In: 0}, {Spec: s2, In: 1},
+		}},
+		{Name: "leapfrog-" + s.Name, TmpHalo: 0.5, Stages: []stencil.Stage{
+			{Spec: s, In: 0}, {A: 2, In: 1, B: -1, InB: stencil.PrevState},
+		}},
+	}
+}
+
+// tiledMask returns the named mask of extents n, random holes for
+// "random", or nil for "".
+func tiledMask(name string, n []int, seed int64) *grid.Mask {
+	switch name {
+	case "":
+		return nil
+	case "random":
+		rng := rand.New(rand.NewSource(seed))
+		m := grid.NewMask(n)
+		p := make([]int, len(n))
+		for holes := 3 + rng.Intn(5); holes > 0; holes-- {
+			for k := range p {
+				p[k] = rng.Intn(n[k])
+			}
+			last := len(n) - 1
+			for end := min(p[last]+1+rng.Intn(4), n[last]); p[last] < end; p[last]++ {
+				m.Set(false, p...)
+			}
+		}
+		m.Finalize()
+		return m
+	}
+	m, _ := grid.NamedMask(name, n)
+	return m
+}
+
+// tiledPipeline runs pipeline p on a d-dimensional grid under the
+// named mask and checks it bitwise against the naive oracle, with the
+// exact active × steps point count.
+func tiledPipeline(t *testing.T, pool *par.Pool, d int, p *stencil.Pipeline, mask string, width int) {
+	t.Helper()
+	const steps = 7
+	n, sl := tiledPipelineN[d], p.Slopes()
+	cfg := &core.Config{N: n, Slopes: sl, BT: 2, Big: make([]int, d), Merge: width%2 == 0}
+	for k := range sl {
+		cfg.Big[k] = 4*sl[k] + 2 + k
+	}
+	m := tiledMask(mask, n, int64(width))
+	active := 1
+	for _, nk := range n {
+		active *= nk
+	}
+	if m != nil {
+		active = m.ActiveCount()
+	}
+	label := fmt.Sprintf("%s %dD mask=%q width=%d tier=%s", p.Name, d, mask, width, core.KernelPath())
+	rng := rand.New(rand.NewSource(int64(d)))
+	before := telemetry.PointsUpdated.Value()
+	var res verify.Result
+	switch d {
+	case 2:
+		g := grid.NewGrid2D(n[0], n[1], 2, 2)
+		g.Fill(func(x, y int) float64 { return rng.Float64() })
+		g.SetBoundary(0.25)
+		ref := g.Clone()
+		if err := core.RunPipeline2D(g, p, steps, cfg, pool, m); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := naive.RunPipeline2D(ref, p, steps, nil, m); err != nil {
+			t.Fatal(err)
+		}
+		res = verify.Grids2D(g, ref)
+	case 3:
+		g := grid.NewGrid3D(n[0], n[1], n[2], 2, 2, 2)
+		g.Fill(func(x, y, z int) float64 { return rng.Float64() })
+		g.SetBoundary(0.125)
+		ref := g.Clone()
+		if err := core.RunPipeline3D(g, p, steps, cfg, pool, m); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := naive.RunPipeline3D(ref, p, steps, nil, m); err != nil {
+			t.Fatal(err)
+		}
+		res = verify.Grids3D(g, ref)
+	}
+	checkPoints(t, label, before, active, steps)
+	if !res.Equal {
+		t.Fatalf("%s: %v", label, res.Error("tiled-pipeline"))
 	}
 }
 

@@ -2,14 +2,14 @@ package core
 
 import "math"
 
-// Block visits. Every executor that runs a single-stage spec — the
-// plain and masked ones here and the distributed ranks — walks a
-// block's boxes through VisitBlocks, which owns the in-block order.
+// Block visits. Every executor — the plain, masked and pipeline ones
+// here and the distributed ranks — walks a block's boxes through
+// VisitBlocks, which owns the in-block order.
 //
-// A block whose step boxes fit tileBytes runs its steps in order, each
-// over the whole clipped box. A larger block does not stay in a
-// private cache across its steps, so every step would re-stream the
-// box from the last-level cache. Such a block is cut into time-skewed
+// A block whose step boxes fit the caller's per-array budget runs its
+// steps in order, each over the whole clipped box. A larger block does
+// not stay in a private cache across its steps, so every step would
+// re-stream the box from the last-level cache. Such a block is cut into time-skewed
 // tiles over every dimension except the unit-stride one (dims 0 and 1
 // in 3D, dim 0 in 2D, none in 1D): tile a at local step j = t-T0
 // covers
@@ -28,12 +28,19 @@ import "math"
 // tile. So every value is the same pure function of the same inputs as
 // in step order. Blocks of a region stay independent: only the order
 // inside a block changes.
+//
+// A fused pipeline's box op runs every stage of one tile-step box (see
+// pipeline.go). Its tiles are skewed by cfg.Slopes, the compound
+// slope, and it reads and writes the state buffers like one stage of
+// that slope, with PrevState read pointwise, so the argument holds as
+// it stands.
 
-// tileBytes is the per-array footprint of the largest step box that
-// runs untiled, and the footprint a tile's step box is sized to: the
-// state and output of one tile step stay in a private L2 while the
-// tile advances.
-const tileBytes = 512 << 10
+// TileBytes is the per-array budget of a single-stage run: the
+// footprint of the largest step box that runs untiled, and the
+// footprint a tile's step box is sized to, so that the state and
+// output of one tile step stay in a private L2 while the tile
+// advances.
+const TileBytes = 512 << 10
 
 // tileOverride, when positive, forces tiling at this width in every
 // skewed dimension: a test seam that lands tile cuts inside the blocks
@@ -47,23 +54,24 @@ type Box struct{ Lo, Hi [3]int }
 // VisitBlocks calls op(t) for every non-empty clipped box that blocks
 // [b0, b1) of region r update at global step t, with *box holding the
 // box, in an order that respects each block's dependences (see the
-// file comment). The caller owns box: handing op the box by value or
-// by pointer would cost a copy or a heap escape per box. A group whose
-// blocks share one orientation and fit tileBytes runs step by step
-// across the group, reusing one bounds computation per step for the
-// blocks that never meet the domain edge (groupPlan); a tiled group
-// runs block by block.
-func (c *Config) VisitBlocks(r *Region, b0, b1 int, box *Box, op func(t int)) {
+// file comment). budget is the per-array footprint, in bytes, above
+// which a block runs as tiles (TileBytes for a single-stage op). The
+// caller owns box: handing op the box by value or by pointer would
+// cost a copy or a heap escape per box. A group whose blocks share one
+// orientation and fit the budget runs step by step across the group,
+// reusing one bounds computation per step for the blocks that never
+// meet the domain edge (groupPlan); a tiled group runs block by block.
+func (c *Config) VisitBlocks(r *Region, b0, b1, budget int, box *Box, op func(t int)) {
 	d := c.Dims()
 	var lo, hi [3]int
 	uniform, interior := c.groupPlan(r, b0, b1, lo[:d], hi[:d])
 	if !uniform {
 		for bi := b0; bi < b1; bi++ {
-			c.VisitBlocks(r, bi, bi+1, box, op)
+			c.VisitBlocks(r, bi, bi+1, budget, box, op)
 		}
 		return
 	}
-	if w, ok := c.tileWidth(); ok {
+	if w, ok := c.tileWidth(budget); ok {
 		for bi := b0; bi < b1; bi++ {
 			c.visitTiled(r, &r.Blocks[bi], w, box, op)
 		}
@@ -91,13 +99,14 @@ func (c *Config) VisitBlocks(r *Region, b0, b1 int, box *Box, op func(t int)) {
 	}
 }
 
-// tileWidth reports whether the blocks of c must run as skewed tiles,
-// and the tile width of their skewed dimensions: the largest whose
-// tile step box fits tileBytes. No step box of any block exceeds Big
-// (clipped to the domain) in any dimension — a glued extent grows to
-// Small+2*BT*S = Big, a diamond's waist is Big wide — so Big bounds
-// the decision without a bounds computation per block.
-func (c *Config) tileWidth() (int, bool) {
+// tileWidth reports whether the blocks of c must run as skewed tiles
+// under a per-array budget, and the tile width of their skewed
+// dimensions: the largest whose tile step box fits the budget. No step
+// box of any block exceeds Big (clipped to the domain) in any
+// dimension — a glued extent grows to Small+2*BT*S = Big, a diamond's
+// waist is Big wide — so Big bounds the decision without a bounds
+// computation per block.
+func (c *Config) tileWidth(budget int) (int, bool) {
 	d := c.Dims()
 	if d == 1 {
 		return 0, false
@@ -109,10 +118,10 @@ func (c *Config) tileWidth() (int, bool) {
 	for k := 0; k < d; k++ {
 		vol *= min(c.Big[k], c.N[k])
 	}
-	if vol <= tileBytes {
+	if vol <= budget {
 		return 0, false
 	}
-	w := tileBytes / (8 * min(c.Big[d-1], c.N[d-1])) // unit-stride rows per tile step box
+	w := budget / (8 * min(c.Big[d-1], c.N[d-1])) // unit-stride rows per tile step box
 	if d == 3 {
 		w = int(math.Sqrt(float64(w)))
 	}

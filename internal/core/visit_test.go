@@ -113,7 +113,7 @@ func checkVisit(t *testing.T, cfg *Config, steps int) {
 				}
 			}
 			var box Box
-			cfg.VisitBlocks(&r, b0, b1, &box, func(tt int) {
+			cfg.VisitBlocks(&r, b0, b1, TileBytes, &box, func(tt int) {
 				blo, bhi := box.Lo, box.Hi
 				n++
 				if tt < r.T0 || tt >= r.T1 {
@@ -183,26 +183,34 @@ func checkVisitOrder(t *testing.T, cfg *Config, ri, win, total int, strides, seq
 	}
 }
 
-// The default budget tiles the 3D blocks DefaultConfig builds and
-// leaves the 2D ones whole.
+// The single-stage budget tiles the 3D blocks DefaultConfig builds
+// and leaves the 2D ones whole; the pipeline budget also cuts the 2D
+// blocks of a compound-slope-2 pipeline into 32-row tiles and the 3D
+// ones into 8×8 columns. 1D never tiles.
 func TestTileWidthBudget(t *testing.T) {
 	for _, tc := range []struct {
-		n     []int
-		tiled bool
-		width int
+		n      []int
+		slope  int
+		budget int
+		tiled  bool
+		width  int
 	}{
-		{[]int{544, 544, 544}, true, 16},
-		{[]int{4096, 4096}, false, 0},
-		{[]int{32, 32, 32}, false, 0},
-		{[]int{1 << 20}, false, 0},
+		{[]int{544, 544, 544}, 1, TileBytes, true, 16},
+		{[]int{4096, 4096}, 1, TileBytes, false, 0},
+		{[]int{32, 32, 32}, 1, TileBytes, false, 0},
+		{[]int{1 << 20}, 1, TileBytes, false, 0},
+		// rk2 (compound slope 2): Big = [256 512] at 2048².
+		{[]int{2048, 2048}, 2, pipeTileBytes, true, 32},
+		{[]int{256, 256, 256}, 2, pipeTileBytes, true, 8},
+		{[]int{1 << 20}, 2, pipeTileBytes, false, 0},
 	} {
 		slopes := make([]int, len(tc.n))
 		for k := range slopes {
-			slopes[k] = 1
+			slopes[k] = tc.slope
 		}
 		cfg := DefaultConfig(tc.n, slopes)
-		if w, ok := cfg.tileWidth(); ok != tc.tiled || w != tc.width {
-			t.Fatalf("n=%v (Big %v): tileWidth = %d, %v; want %d, %v", tc.n, cfg.Big, w, ok, tc.width, tc.tiled)
+		if w, ok := cfg.tileWidth(tc.budget); ok != tc.tiled || w != tc.width {
+			t.Fatalf("n=%v (Big %v) budget %d: tileWidth = %d, %v; want %d, %v", tc.n, cfg.Big, tc.budget, w, ok, tc.width, tc.tiled)
 		}
 	}
 }

@@ -340,7 +340,7 @@ func (s *slab) runBlock(i, worker int) {
 	d, bi := len(s.cfg.N), s.idxs[i]
 	var calls uint64
 	var box core.Box
-	s.cfg.VisitBlocks(s.reg, bi, bi+1, &box, func(t int) {
+	s.cfg.VisitBlocks(s.reg, bi, bi+1, core.TileBytes, &box, func(t int) {
 		s.box(t+s.pb, box.Lo, box.Hi)
 		n := uint64(1)
 		for k := 0; s.rows && k < d-1; k++ {

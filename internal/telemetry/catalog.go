@@ -105,6 +105,14 @@ var (
 	PointsUpdated = Default.NewShardedCounter(
 		"tess_points_updated_total",
 		"Grid point updates performed by the tessellation executors.").ShardedCounter()
+	// PipelineRecomputedPoints counts the intermediate-stage points
+	// fused pipeline visits compute beyond active × steps per stage:
+	// the overlap rings every tile-step box recomputes instead of
+	// reading them from a neighbour. Sharded per worker like
+	// PointsUpdated.
+	PipelineRecomputedPoints = Default.NewShardedCounter(
+		"tess_pipeline_recomputed_points_total",
+		"Intermediate-stage points fused pipeline visits computed beyond active points x steps per stage (recomputed overlap rings).").ShardedCounter()
 	// KernelCallsFamily counts stencil kernel invocations by dispatch
 	// path: "row" for the per-row fallback kernels, "block" for the
 	// fused block kernels that receive a whole clipped box. The ratio

@@ -235,6 +235,7 @@ func TestCatalogRegisteredInDefault(t *testing.T) {
 		"tess_stage_duration_seconds",
 		"tess_blocks_executed_total",
 		"tess_points_updated_total",
+		"tess_pipeline_recomputed_points_total",
 		"tess_dist_bytes_total",
 		"tess_dist_messages_total",
 		"tess_dist_exchange_seconds",
